@@ -21,21 +21,17 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
+	"fbdcnet/internal/cli"
 	"fbdcnet/internal/core"
 	"fbdcnet/internal/fbflow"
 	"fbdcnet/internal/mirror"
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/obs"
-	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/obs/export"
 	"fbdcnet/internal/prof"
 	"fbdcnet/internal/services"
@@ -62,23 +58,12 @@ func main() {
 	pcapOut := flag.String("pcap", "", "also export the mirror trace as a pcap file")
 	fleet := flag.Bool("fleet", false, "run the fleet-wide Fbflow view and print its summary")
 	distributed := flag.Int("distributed", 0, "with -fleet: collect through this many local agent processes streaming binary partials to an in-process aggregator (0 = in-process collection)")
-	agentFaults := flag.Bool("agent-faults", false, "with -distributed: kill one agent at its seed-planned crash point and restart it, recording the coverage gap")
-	fleetAgent := flag.Bool("fleet-agent", false, "internal: run as one fleet shard agent (set by -distributed re-exec)")
-	fleetAgentID := flag.Int("fleet-agent-id", 0, "internal: agent id")
-	fleetAgentInc := flag.Int("fleet-agent-inc", 0, "internal: agent incarnation")
-	fleetAgentConnect := flag.String("fleet-agent-connect", "", "internal: aggregator socket path")
-	fleetAgentCount := flag.Int("fleet-agent-count", 0, "internal: total agent count")
 	serve := flag.Bool("serve", false, "run the endless rolling-window collection loop (SIGHUP reloads -serve-config, SIGINT/SIGTERM stop cleanly)")
 	serveWindows := flag.Int("serve-windows", 0, "with -serve: stop after this many windows (0 = run until signalled)")
 	serveConfig := flag.String("serve-config", "", "with -serve: JSON file re-read on SIGHUP (window_sec, samples, matrix, taggers, mem_ceiling_mb, sketch)")
-	sketchMode := flag.Bool("sketch", false, "replace exact heavy-hitter tables with bounded-memory sketches and add HLL distinct counts to fleet collection")
-	scaleFlag := flag.String("scale", "tiny", "fleet scale: "+strings.Join(topology.ScaleNames(), "|"))
-	matrix := flag.Bool("matrix", false, "with -fleet: synthesize traffic as rack-pair demand matrices instead of per-host flow sampling")
-	windows := flag.Int("windows", 0, "override the number of fleet observation windows (0 = config default)")
 	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "stamp this memory ceiling (MiB) into the run manifest; cmd/manifestcheck asserts the fleet heap peak stayed under it (0 = no ceiling)")
 	saveDS := flag.String("save", "", "with -fleet: archive the Fbflow dataset to this file")
 	loadDS := flag.String("load", "", "print the summary of a previously archived Fbflow dataset")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
 	parallel := flag.Int("parallel", 0, "worker goroutines for dataset generation (0 = GOMAXPROCS); results are identical at any value")
 	faults := flag.String("faults", "", fmt.Sprintf("run the degraded-mode fault experiment for a scenario (%s)",
 		strings.Join(netsim.FaultScenarios(), "|")))
@@ -88,21 +73,11 @@ func main() {
 	pathsOut := flag.String("paths-out", "", "with -telemetry: write retained path records (JSONL, readable by traceview -paths) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics Prometheus text, /debug/vars expvar, / progress)")
 	manifestPath := flag.String("manifest", "", "write the run manifest (config, stage timings, counters; distributed runs add the per-agent section) to this file")
-	auditFlag := flag.Bool("audit", false, "record the determinism flight recorder: per-cell checkpoint digests into the manifest audit section plus a crash black box (compare manifests with cmd/digestdiff)")
-	auditOut := flag.String("audit-out", "", "with -audit: write the black-box JSON dump to this file on panic, SIGQUIT, or a planned agent kill")
-	auditPerturb := flag.String("audit-perturb", "", "with -audit: plant a ledger-only divergence at fleet-collect cell W:S (testing aid for digestdiff and CI; experiment outputs stay untouched)")
 	traceOut := flag.String("trace-out", "", "write the run timeline (all agents plus the aggregator on one clock) as Chrome trace-event JSON to this file")
-	quiet := flag.Bool("quiet", false, "suppress informational diagnostics on stderr (warnings and errors still print)")
+	ff := cli.Register(flag.CommandLine, cli.HiddenAgent)
 	flag.Parse()
-
-	level := slog.LevelInfo
-	if *quiet {
-		level = slog.LevelWarn
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
+	logger := ff.Logger()
 
 	stop, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -112,68 +87,34 @@ func main() {
 	defer stop()
 
 	cfg := core.QuickConfig()
-	scale, ok := topology.ParseScale(*scaleFlag)
-	if !ok {
-		logger.Error("unknown scale", "scale", *scaleFlag,
-			"have", strings.Join(topology.ScaleNames(), "|"))
+	if err := ff.Apply(&cfg, logger); err != nil {
+		logger.Error("bad flags", "err", err)
 		os.Exit(2)
 	}
-	cfg.Scale = scale
-	cfg.FleetMatrix = *matrix
-	cfg.MemCeilingBytes = *memCeilingMB << 20
-	if *windows > 0 {
-		cfg.FleetWindows = *windows
+	if bb := cfg.Audit.BB(); bb != nil {
+		defer bb.HandlePanic(ff.AuditOut)
 	}
-	cfg.Seed = *seed
+	cfg.MemCeilingBytes = *memCeilingMB << 20
 	cfg.Parallelism = *parallel
 	cfg.Taggers = *parallel
-	cfg.SketchMode = *sketchMode
 	cfg.FaultScenario = *faults
 	cfg.TraceSample = *traceSample
 	cfg.QueueInterval = netsim.Time(*queueInterval) * netsim.Microsecond
-	cfg.Obs = obs.NewRegistry()
-	if *auditFlag {
-		cfg.Audit = audit.New()
-		bb := audit.NewBlackBox(0)
-		cfg.Audit.SetBlackBox(bb)
-		defer bb.HandlePanic(*auditOut)
-		bb.InstallSignalDump(*auditOut)
-		if *auditPerturb != "" {
-			w, s, err := parsePerturb(*auditPerturb)
-			if err != nil {
-				logger.Error("bad -audit-perturb", "err", err)
-				os.Exit(2)
-			}
-			cfg.Audit.Perturb(w, s)
-			logger.Warn("planted ledger divergence", "window", w, "shard", s)
-		}
-	} else if *auditPerturb != "" {
-		logger.Error("-audit-perturb requires -audit")
-		os.Exit(2)
-	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		logger.Error("building system", "err", err)
 		os.Exit(1)
 	}
 
-	if *fleetAgent {
-		if *metricsAddr != "" {
-			srv, err := obs.Serve(*metricsAddr, cfg.Obs)
-			if err != nil {
-				logger.Error("starting agent metrics endpoint", "err", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			logger.Info("agent metrics endpoint listening", "agent", *fleetAgentID, "addr", srv.Addr())
+	if ff.Agent {
+		if code := ff.RunAgent(sys, logger); code != 0 {
+			os.Exit(code)
 		}
-		runFleetAgent(sys, *fleetAgentID, *fleetAgentCount, *fleetAgentInc,
-			*fleetAgentConnect, *agentFaults, *auditOut, logger)
 		return
 	}
 
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, cfg.Obs)
+	if ff.MetricsAddr != "" {
+		srv, err := obs.Serve(ff.MetricsAddr, cfg.Obs)
 		if err != nil {
 			logger.Error("starting metrics endpoint", "err", err)
 			os.Exit(1)
@@ -264,7 +205,7 @@ func main() {
 		}
 		host := sys.Monitored(role)
 		sp := cfg.Obs.StartSpan(fmt.Sprintf("mirror:%s:%ds", *mirrorRole, *seconds))
-		tr := services.NewTrace(sys.Pick, host, *seed, cfg.Params, sink)
+		tr := services.NewTrace(sys.Pick, host, ff.Seed, cfg.Params, sink)
 		tr.Run(netsim.Time(*seconds) * netsim.Second)
 		sp.End()
 		if err := w.Close(); err != nil {
@@ -292,32 +233,8 @@ func main() {
 	}
 	if *fleet {
 		if *distributed > 0 {
-			// Derive and validate every agent endpoint up front: a
-			// collision or port overflow fails the launch instead of one
-			// agent dying later with "address already in use". Agents run
-			// -quiet, so the resolved table is announced here.
-			addrs, err := core.AgentMetricsAddrs(*metricsAddr, *distributed, *metricsAddr)
-			if err != nil {
-				logger.Error("deriving agent metrics endpoints", "err", err)
-				os.Exit(2)
-			}
-			for a, addr := range addrs {
-				if addr != "" {
-					logger.Info("agent metrics endpoint", "agent", a, "addr", addr)
-				}
-			}
-			gaps, err := sys.CollectFleetDistributed(*distributed,
-				fleetAgentArgs(cfg, *distributed, *agentFaults, *metricsAddr))
-			if err != nil {
-				logger.Error("distributed fleet collection failed", "err", err)
-				os.Exit(1)
-			}
-			if len(gaps) > 0 {
-				cells := 0
-				for _, g := range gaps {
-					cells += g.Cells
-				}
-				logger.Warn("distributed collection has coverage gaps", "gaps", len(gaps), "cells", cells)
+			if code := ff.CollectDistributed(sys, *distributed, logger); code != 0 {
+				os.Exit(code)
 			}
 		}
 		fmt.Print(sys.Table3().Render())
@@ -386,90 +303,6 @@ func main() {
 		}
 		logger.Info("wrote run timeline", "path", *traceOut, "procs", len(procs))
 	}
-}
-
-// runFleetAgent is the hidden -fleet-agent branch of the -distributed
-// re-exec: dial the aggregator, stream this shard range, and exit with
-// core.AgentCrashExitCode when the seed-planned crash point is reached
-// so the parent restarts the next incarnation.
-func runFleetAgent(sys *core.System, id, agents, incarnation int, connect string, faults bool, auditOut string, logger *slog.Logger) {
-	crashAfter := int64(-1)
-	if faults {
-		if plan := sys.PlanAgentCrash(agents); plan.Agent == id && incarnation == 0 {
-			crashAfter = plan.AfterTask
-		}
-	}
-	conn, err := core.DialFleetAgent("unix", connect, 10*time.Second)
-	if err != nil {
-		logger.Error("fleet agent dialing aggregator", "agent", id, "err", err)
-		os.Exit(1)
-	}
-	err = sys.RunFleetAgent(id, agents, uint32(incarnation), conn, crashAfter)
-	conn.Close()
-	if errors.Is(err, core.ErrPlannedCrash) {
-		// The planned kill is the black box's flight-recorder moment:
-		// dump the ring before the process dies so the gap is debuggable.
-		sys.Cfg.Audit.BB().Dump(auditOut, "planned-crash")
-		os.Exit(core.AgentCrashExitCode)
-	}
-	if err != nil {
-		logger.Error("fleet agent failed", "agent", id, "err", err)
-		os.Exit(1)
-	}
-}
-
-// fleetAgentArgs builds the re-exec argument list reproducing this
-// process's fleet configuration for one agent incarnation.
-func fleetAgentArgs(cfg core.Config, agents int, faults bool, metricsAddr string) func(addr string, id, inc int) []string {
-	return func(addr string, id, inc int) []string {
-		args := []string{
-			"-fleet-agent",
-			"-fleet-agent-id", strconv.Itoa(id),
-			"-fleet-agent-inc", strconv.Itoa(inc),
-			"-fleet-agent-connect", addr,
-			"-fleet-agent-count", strconv.Itoa(agents),
-			"-scale", cfg.Scale.String(),
-			"-seed", strconv.FormatUint(cfg.Seed, 10),
-			"-windows", strconv.Itoa(cfg.FleetWindows),
-			"-quiet",
-		}
-		if cfg.FleetMatrix {
-			args = append(args, "-matrix")
-		}
-		if cfg.SketchMode {
-			args = append(args, "-sketch")
-		}
-		if faults {
-			args = append(args, "-agent-faults")
-		}
-		if cfg.Audit.Enabled() {
-			// -audit propagates so agents ledger and forward their cells;
-			// -audit-perturb deliberately does NOT — the planted divergence
-			// belongs only to the aggregator's authoritative ledger.
-			args = append(args, "-audit")
-		}
-		if maddr := core.AgentMetricsAddr(metricsAddr, id); maddr != "" {
-			args = append(args, "-metrics-addr", maddr)
-		}
-		return args
-	}
-}
-
-// parsePerturb parses an -audit-perturb "W:S" cell spec.
-func parsePerturb(spec string) (window, shard int, err error) {
-	w, s, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("perturb spec %q is not WINDOW:SHARD", spec)
-	}
-	window, err = strconv.Atoi(w)
-	if err != nil || window < 0 {
-		return 0, 0, fmt.Errorf("perturb spec %q: bad window %q", spec, w)
-	}
-	shard, err = strconv.Atoi(s)
-	if err != nil || shard < 0 {
-		return 0, 0, fmt.Errorf("perturb spec %q: bad shard %q", spec, s)
-	}
-	return window, shard, nil
 }
 
 // renderSI formats bytes with an SI suffix.

@@ -19,52 +19,28 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
+	"fbdcnet/internal/cli"
 	"fbdcnet/internal/core"
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/obs"
-	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/obs/export"
 	"fbdcnet/internal/prof"
 	"fbdcnet/internal/telemetry"
-	"fbdcnet/internal/topology"
 )
 
-func parseScale(s string) (topology.Scale, error) {
-	sc, ok := topology.ParseScale(s)
-	if !ok {
-		return 0, fmt.Errorf("unknown scale %q (%s)", s, strings.Join(topology.ScaleNames(), "|"))
-	}
-	return sc, nil
-}
-
 func main() {
-	scaleFlag := flag.String("scale", "tiny", "fleet scale: "+strings.Join(topology.ScaleNames(), "|"))
-	matrix := flag.Bool("matrix", false, "synthesize fleet traffic as rack-pair demand matrices instead of per-host flow sampling (million-host scales)")
 	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "stamp this memory ceiling (MiB) into the run manifest; cmd/manifestcheck asserts the fleet heap peak stayed under it (0 = no ceiling)")
-	windows := flag.Int("windows", 0, "override the number of fleet observation windows (0 = config default)")
-	seed := flag.Uint64("seed", 42, "deterministic experiment seed")
 	short := flag.Int("short", 30, "short (sub-second analyses) trace seconds")
 	long := flag.Int("long", 60, "long (flow analyses) trace seconds")
 	only := flag.String("only", "", "run a single experiment (e.g. table3, figure12, ablations, faults)")
 	jsonOut := flag.Bool("json", false, "print a machine-readable summary instead of rendered tables")
 	distributed := flag.Int("distributed", 0, "collect the fleet dataset through this many local agent processes streaming binary partials to an in-process aggregator (0 = in-process collection)")
-	agentFaults := flag.Bool("agent-faults", false, "with -distributed: kill one agent at its seed-planned crash point and restart it, recording the coverage gap")
-	fleetAgent := flag.Bool("fleet-agent", false, "internal: run as one fleet shard agent (set by -distributed re-exec)")
-	fleetAgentID := flag.Int("fleet-agent-id", 0, "internal: agent id")
-	fleetAgentInc := flag.Int("fleet-agent-inc", 0, "internal: agent incarnation")
-	fleetAgentConnect := flag.String("fleet-agent-connect", "", "internal: aggregator socket path")
-	fleetAgentCount := flag.Int("fleet-agent-count", 0, "internal: total agent count")
 	parallel := flag.Int("parallel", 0, "worker goroutines for dataset generation (0 = GOMAXPROCS); results are identical at any value")
-	sketchMode := flag.Bool("sketch", false, "replace exact heavy-hitter tables with bounded-memory sketches and add HLL distinct counts to fleet collection")
 	faults := flag.String("faults", "", fmt.Sprintf("fault scenario for the degraded-mode section and summary (%s)",
 		strings.Join(netsim.FaultScenarios(), "|")))
 	traceSample := flag.Float64("trace-sample", 0.1, "in-band telemetry flow sampling fraction (0 disables the telemetry section)")
@@ -72,16 +48,11 @@ func main() {
 	pathsOut := flag.String("paths-out", "", "write retained telemetry path records (JSONL, readable by traceview -paths) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics Prometheus text, /debug/vars expvar, / progress)")
 	manifestPath := flag.String("manifest", "run_manifest.json", "write the run manifest (config, stage timings, counters; distributed runs add the per-agent section) to this file; empty disables")
-	auditFlag := flag.Bool("audit", false, "record the determinism flight recorder: per-cell checkpoint digests into the manifest audit section plus a crash black box (compare manifests with cmd/digestdiff)")
-	auditOut := flag.String("audit-out", "", "with -audit: write the black-box JSON dump to this file on panic, SIGQUIT, or a planned agent kill")
-	auditPerturb := flag.String("audit-perturb", "", "with -audit: plant a ledger-only divergence at fleet-collect cell W:S (testing aid for digestdiff and CI; experiment outputs stay untouched)")
 	traceOut := flag.String("trace-out", "", "write the run timeline (all agents plus the aggregator on one clock) as Chrome trace-event JSON to this file")
-	quiet := flag.Bool("quiet", false, "suppress informational diagnostics on stderr (warnings and errors still print)")
+	ff := cli.Register(flag.CommandLine, cli.HiddenAgent)
 	flag.Parse()
-
-	logger := newLogger(*quiet)
+	logger := ff.Logger()
 
 	stop, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -90,51 +61,26 @@ func main() {
 	}
 	defer stop()
 
-	scale, err := parseScale(*scaleFlag)
-	if err != nil {
-		logger.Error("bad -scale", "err", err)
-		os.Exit(2)
-	}
 	if err := validScenario(*faults); err != nil {
 		logger.Error("bad -faults", "err", err)
 		os.Exit(2)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Scale = scale
-	cfg.Seed = *seed
+	if err := ff.Apply(&cfg, logger); err != nil {
+		logger.Error("bad flags", "err", err)
+		os.Exit(2)
+	}
+	if bb := cfg.Audit.BB(); bb != nil {
+		defer bb.HandlePanic(ff.AuditOut)
+	}
 	cfg.ShortTraceSec = *short
 	cfg.LongTraceSec = *long
 	cfg.Parallelism = *parallel
 	cfg.Taggers = *parallel
-	cfg.SketchMode = *sketchMode
 	cfg.FaultScenario = *faults
 	cfg.TraceSample = *traceSample
 	cfg.QueueInterval = netsim.Time(*queueInterval) * netsim.Microsecond
-	cfg.FleetMatrix = *matrix
 	cfg.MemCeilingBytes = *memCeilingMB << 20
-	if *windows > 0 {
-		cfg.FleetWindows = *windows
-	}
-	cfg.Obs = obs.NewRegistry()
-	if *auditFlag {
-		cfg.Audit = audit.New()
-		bb := audit.NewBlackBox(0)
-		cfg.Audit.SetBlackBox(bb)
-		defer bb.HandlePanic(*auditOut)
-		bb.InstallSignalDump(*auditOut)
-		if *auditPerturb != "" {
-			w, s, err := parsePerturb(*auditPerturb)
-			if err != nil {
-				logger.Error("bad -audit-perturb", "err", err)
-				os.Exit(2)
-			}
-			cfg.Audit.Perturb(w, s)
-			logger.Warn("planted ledger divergence", "window", w, "shard", s)
-		}
-	} else if *auditPerturb != "" {
-		logger.Error("-audit-perturb requires -audit")
-		os.Exit(2)
-	}
 	if *pathsOut != "" && cfg.TraceSample <= 0 {
 		logger.Error("-paths-out needs a positive -trace-sample")
 		os.Exit(2)
@@ -146,54 +92,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *fleetAgent {
+	if ff.Agent {
 		// The hidden -distributed re-exec branch: stream one shard range
 		// and exit before any experiment (or manifest) output.
-		if *metricsAddr != "" {
-			srv, err := obs.Serve(*metricsAddr, cfg.Obs)
-			if err != nil {
-				logger.Error("starting agent metrics endpoint", "err", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			logger.Info("agent metrics endpoint listening", "agent", *fleetAgentID, "addr", srv.Addr())
+		if code := ff.RunAgent(sys, logger); code != 0 {
+			os.Exit(code)
 		}
-		runFleetAgent(sys, *fleetAgentID, *fleetAgentCount, *fleetAgentInc,
-			*fleetAgentConnect, *agentFaults, *auditOut, logger)
 		return
 	}
 	if *distributed > 0 {
-		// Derive and validate every agent endpoint up front: a collision
-		// or port overflow fails the launch instead of one agent dying
-		// later with "address already in use". Agents run -quiet, so the
-		// resolved table is announced here.
-		addrs, err := core.AgentMetricsAddrs(*metricsAddr, *distributed, *metricsAddr)
-		if err != nil {
-			logger.Error("deriving agent metrics endpoints", "err", err)
-			os.Exit(2)
-		}
-		for a, addr := range addrs {
-			if addr != "" {
-				logger.Info("agent metrics endpoint", "agent", a, "addr", addr)
-			}
-		}
-		gaps, err := sys.CollectFleetDistributed(*distributed,
-			fleetAgentArgs(cfg, *distributed, *agentFaults, *metricsAddr))
-		if err != nil {
-			logger.Error("distributed fleet collection failed", "err", err)
-			os.Exit(1)
-		}
-		if len(gaps) > 0 {
-			cells := 0
-			for _, g := range gaps {
-				cells += g.Cells
-			}
-			logger.Warn("distributed collection has coverage gaps", "gaps", len(gaps), "cells", cells)
+		if code := ff.CollectDistributed(sys, *distributed, logger); code != 0 {
+			os.Exit(code)
 		}
 	}
 
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, cfg.Obs)
+	if ff.MetricsAddr != "" {
+		srv, err := obs.Serve(ff.MetricsAddr, cfg.Obs)
 		if err != nil {
 			logger.Error("starting metrics endpoint", "err", err)
 			os.Exit(1)
@@ -245,18 +159,6 @@ func main() {
 	}
 }
 
-// newLogger builds the stderr diagnostic logger: stdout stays reserved
-// for golden-checked experiment output.
-func newLogger(quiet bool) *slog.Logger {
-	level := slog.LevelInfo
-	if quiet {
-		level = slog.LevelWarn
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-	return logger
-}
-
 // writePaths exports the telemetry experiment's retained path records as
 // JSONL for traceview -paths.
 func writePaths(path string, sys *core.System) error {
@@ -273,90 +175,6 @@ func writePaths(path string, sys *core.System) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runFleetAgent is the hidden -fleet-agent branch of the -distributed
-// re-exec: dial the aggregator, stream this shard range, and exit with
-// core.AgentCrashExitCode when the seed-planned crash point is reached
-// so the parent restarts the next incarnation.
-func runFleetAgent(sys *core.System, id, agents, incarnation int, connect string, faults bool, auditOut string, logger *slog.Logger) {
-	crashAfter := int64(-1)
-	if faults {
-		if plan := sys.PlanAgentCrash(agents); plan.Agent == id && incarnation == 0 {
-			crashAfter = plan.AfterTask
-		}
-	}
-	conn, err := core.DialFleetAgent("unix", connect, 10*time.Second)
-	if err != nil {
-		logger.Error("fleet agent dialing aggregator", "agent", id, "err", err)
-		os.Exit(1)
-	}
-	err = sys.RunFleetAgent(id, agents, uint32(incarnation), conn, crashAfter)
-	conn.Close()
-	if errors.Is(err, core.ErrPlannedCrash) {
-		// The planned kill is the black box's flight-recorder moment:
-		// dump the ring before the process dies so the gap is debuggable.
-		sys.Cfg.Audit.BB().Dump(auditOut, "planned-crash")
-		os.Exit(core.AgentCrashExitCode)
-	}
-	if err != nil {
-		logger.Error("fleet agent failed", "agent", id, "err", err)
-		os.Exit(1)
-	}
-}
-
-// fleetAgentArgs builds the re-exec argument list reproducing this
-// process's fleet configuration for one agent incarnation.
-func fleetAgentArgs(cfg core.Config, agents int, faults bool, metricsAddr string) func(addr string, id, inc int) []string {
-	return func(addr string, id, inc int) []string {
-		args := []string{
-			"-fleet-agent",
-			"-fleet-agent-id", strconv.Itoa(id),
-			"-fleet-agent-inc", strconv.Itoa(inc),
-			"-fleet-agent-connect", addr,
-			"-fleet-agent-count", strconv.Itoa(agents),
-			"-scale", cfg.Scale.String(),
-			"-seed", strconv.FormatUint(cfg.Seed, 10),
-			"-windows", strconv.Itoa(cfg.FleetWindows),
-			"-quiet",
-		}
-		if cfg.FleetMatrix {
-			args = append(args, "-matrix")
-		}
-		if cfg.SketchMode {
-			args = append(args, "-sketch")
-		}
-		if faults {
-			args = append(args, "-agent-faults")
-		}
-		if cfg.Audit.Enabled() {
-			// -audit propagates so agents ledger and forward their cells;
-			// -audit-perturb deliberately does NOT — the planted divergence
-			// belongs only to the aggregator's authoritative ledger.
-			args = append(args, "-audit")
-		}
-		if maddr := core.AgentMetricsAddr(metricsAddr, id); maddr != "" {
-			args = append(args, "-metrics-addr", maddr)
-		}
-		return args
-	}
-}
-
-// parsePerturb parses an -audit-perturb "W:S" cell spec.
-func parsePerturb(spec string) (window, shard int, err error) {
-	w, s, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("perturb spec %q is not WINDOW:SHARD", spec)
-	}
-	window, err = strconv.Atoi(w)
-	if err != nil || window < 0 {
-		return 0, 0, fmt.Errorf("perturb spec %q: bad window %q", spec, w)
-	}
-	shard, err = strconv.Atoi(s)
-	if err != nil || shard < 0 {
-		return 0, 0, fmt.Errorf("perturb spec %q: bad shard %q", spec, s)
-	}
-	return window, shard, nil
 }
 
 // validScenario rejects unknown -faults values before any work happens.

@@ -36,7 +36,7 @@ import (
 )
 
 // heapPeakGauge is the gauge the fleet collector records after merging
-// the dataset; see core.collectFleet.
+// the dataset; see core.collectWindows.
 const heapPeakGauge = "fbdcnet_fleet_heap_peak_bytes"
 
 // checkMemCeiling enforces the manifest's own memory budget. A missing

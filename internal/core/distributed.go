@@ -20,13 +20,12 @@ import (
 	"fbdcnet/internal/obs"
 	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/rng"
-	"fbdcnet/internal/services"
 )
 
 // Distributed fleet collection: the production shape of the paper's
 // Fbflow pipeline. N agent processes each own a contiguous range of the
 // (window × shard) task grid's shard axis, run sampling and partial
-// accumulation locally, and stream binary partial frames to one
+// accumulation locally, and stream binary cell frames to one
 // aggregator that merges them at the global task-order frontier.
 //
 // The determinism contract is the same as the in-process engine's:
@@ -36,8 +35,8 @@ import (
 // the single-process run at any agent count. Agents overlap comms with
 // compute by double-buffering partials (window W+1 accumulates while W
 // encodes and sends), and the aggregator merges frames as they arrive
-// rather than barriering per window, parking out-of-order cells exactly
-// like collectFleet parks out-of-order workers.
+// rather than barriering per window, parking out-of-order cells at the
+// same frontier the in-process collector parks out-of-order workers at.
 
 // AgentCrashExitCode is the exit status of an agent that dies at its
 // planned crash point. The spawner restarts exactly this status with an
@@ -57,17 +56,6 @@ type ShardRange struct {
 
 // Span returns the number of shards the range owns.
 func (r ShardRange) Span() int { return r.Hi - r.Lo }
-
-// fleetShardsPerWindow returns the shard-axis width of the task grid —
-// a pure function of topology size and collection mode, never of the
-// agent or worker count.
-func (s *System) fleetShardsPerWindow() int {
-	n, width := s.Topo.NumHosts(), fleetShardHosts
-	if s.Cfg.FleetMatrix {
-		n, width = len(s.Topo.Racks), fleetMatrixShardRacks
-	}
-	return (n + width - 1) / width
-}
 
 // FleetShardMap splits the shard axis into one contiguous range per
 // agent. Trailing agents may own empty ranges when there are more
@@ -178,74 +166,39 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 	}
 	defer endSpan()
 
-	tagger := fbflow.NewTagger(s.Topo)
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mat *services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		mat = services.NewDemandMatrix()
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-
-	// Double buffer: the main loop computes into one partial while the
-	// sender encodes and flushes the previous one. A third partial in the
-	// free pool absorbs the jitter between the two.
-	newPartial := func() *fbflow.Partial {
-		p := fbflow.NewPartial()
-		if s.Cfg.SketchMode {
-			p.EnableCardinality()
-		}
-		return p
-	}
-	// Each pooled buffer pairs a partial with the cell's encoded obs
-	// delta. The delta frame travels ahead of its partial on the same
-	// connection, so by the time the aggregator's frontier consumes the
-	// cell its metrics are already parked beside it.
-	type cellBuf struct {
-		p   *fbflow.Partial
-		obs []byte
-		// Parked audit checkpoints for this cell, already appended to the
-		// agent's local ledger; they precede the PARTIAL on the wire so
-		// the aggregator has parked them by the time its frontier merges
-		// the cell. Best-effort like the obs delta.
-		audF, audM       fbwire.AuditCell
-		hasAudF, hasAudM bool
+	// Three cells rotate: the main loop computes into one while the
+	// sender encodes and flushes another, and the third absorbs the
+	// jitter between the two. All share the agent's one obs shard, which
+	// only the main loop touches.
+	aud := s.Cfg.Audit
+	bb := aud.BB()
+	sc := s.newCellScratch(1)[0]
+	sh := reg.NewShard()
+	free := make(chan *Cell, 3)
+	for i := 0; i < cap(free); i++ {
+		free <- &Cell{Partial: s.newPartial(), Obs: sh}
 	}
 	type job struct {
 		seq uint64
-		b   *cellBuf
+		c   *Cell
 	}
-	aud := s.Cfg.Audit
-	bb := aud.BB()
-	free := make(chan *cellBuf, 3)
-	free <- &cellBuf{p: newPartial()}
-	free <- &cellBuf{p: newPartial()}
-	free <- &cellBuf{p: newPartial()}
 	jobs := make(chan job, 1)
 	sendRes := make(chan error, 1)
 	go func() {
+		var audSec []byte
 		for j := range jobs {
 			window, shard := agentTask(rg, j.seq)
-			var err error
-			if j.b.hasAudM {
-				err = w.WriteAudit(j.b.audM)
-				bb.Record(audit.EvFrameTx, "audit-matrix", fbwire.TypeAudit, int64(j.seq))
+			audSec = audSec[:0]
+			for _, cp := range j.c.Audit[:j.c.NAudit] {
+				audSec = fbwire.AppendAudit(audSec, fbwire.AuditCell{Stage: auditWireStage(cp.Stage), Sum: cp.Sum, Count: cp.Count})
 			}
-			if err == nil && j.b.hasAudF {
-				err = w.WriteAudit(j.b.audF)
-				bb.Record(audit.EvFrameTx, "audit-fleet", fbwire.TypeAudit, int64(j.seq))
-			}
-			if err == nil && len(j.b.obs) > 0 {
-				err = w.WriteObs(fbwire.ObsCell, j.seq, j.b.obs)
-			}
-			if err == nil {
-				err = w.WritePartial(fbwire.PartialHeader{Seq: j.seq, Window: uint32(window), Shard: uint32(shard)}, j.b.p)
-				bb.Record(audit.EvFrameTx, "partial", fbwire.TypePartial, int64(j.seq))
-			}
-			j.b.p.Reset()
-			free <- j.b
+			err := w.WritePartial(fbwire.PartialHeader{
+				Seq: j.seq, Window: uint32(window), Shard: uint32(shard),
+				Obs: j.c.Delta, Audit: audSec,
+			}, j.c.Partial)
+			bb.Record(audit.EvFrameTx, "cell", fbwire.TypeCell, int64(j.seq))
+			j.c.Partial.Reset()
+			free <- j.c
 			if err != nil {
 				sendRes <- err
 				return
@@ -265,62 +218,29 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 		}
 		return err
 	}
-	sh := reg.NewShard()
 	for t := resume; t < expected; t++ {
-		var b *cellBuf
+		var c *Cell
 		select {
-		case b = <-free:
+		case c = <-free:
 		case serr := <-sendRes:
 			// The sender died (socket error or planned crash): stop
 			// computing and surface its verdict.
 			close(jobs)
 			return serr
 		}
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
-		}
-		window, shard := agentTask(rg, t)
-		task := fleetTask{window: window, shard: shard, lo: shard * fleetShardHosts, hi: min((shard+1)*fleetShardHosts, s.Topo.NumHosts())}
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			task.lo = shard * fleetMatrixShardRacks
-			task.hi = min(task.lo+fleetMatrixShardRacks, len(s.Topo.Racks))
-			s.collectMatrixShard(tagger, mprog, task, mat, b.p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, task, b.p, sh, fh)
-		}
-		b.hasAudF, b.hasAudM = false, false
-		if aud.Enabled() {
-			// Append to the agent's local ledger and forward exactly what
-			// was logged (any planted perturbation belongs to the
-			// aggregator, which owns the authoritative ledger).
-			if mh != nil {
-				cp, _ := aud.Cell(audit.StageMatrixSynth, window, shard, mh)
-				b.audM = fbwire.AuditCell{Stage: fbwire.AuditMatrixSynth, Seq: t, Window: uint32(window), Shard: uint32(shard), Sum: cp.Sum, Count: cp.Count}
-				b.hasAudM = true
-			}
-			cp, _ := aud.Cell(audit.StageFleetCollect, window, shard, fh)
-			b.audF = fbwire.AuditCell{Stage: fbwire.AuditFleetCell, Seq: t, Window: uint32(window), Shard: uint32(shard), Sum: cp.Sum, Count: cp.Count}
-			b.hasAudF = true
-		}
-		if reg.Enabled() {
-			sh.Observe(s.obsIDs.fleetShardUs, time.Since(t0).Microseconds())
+		s.collectCell(s.fleetTask(agentTask(rg, t)), sc, c)
+		// The agent's local ledger logs exactly what it forwards; the
+		// aggregator owns the authoritative ledger.
+		for _, cp := range c.Audit[:c.NAudit] {
+			aud.Append(cp)
 		}
 		// Encode the cell's delta before Fold resets the shard; the fold
 		// keeps the agent's own registry live for its -metrics-addr
 		// endpoint (a separate process, so nothing double-counts).
-		b.obs = sh.AppendDelta(b.obs[:0])
+		c.Delta = sh.AppendDelta(c.Delta[:0])
 		sh.Fold()
 		select {
-		case jobs <- job{seq: t, b: b}:
+		case jobs <- job{seq: t, c: c}:
 		case serr := <-sendRes:
 			return serr
 		}
@@ -329,6 +249,7 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 		return err
 	}
 	endSpan()
+	var report []byte
 	if reg.Enabled() {
 		reg.SetGauge(fmt.Sprintf("fbdcnet_agent_%d_tx_bytes", agentID), float64(w.BytesWritten()))
 		if aud.Enabled() {
@@ -336,11 +257,9 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 			// per-agent manifest section shows each process's ring.
 			reg.SetGauge("fbdcnet_blackbox_events", float64(bb.Total()))
 		}
-		if err := w.WriteObs(fbwire.ObsFinal, 0, reg.AppendReport(nil, uint32(agentID), incarnation)); err != nil {
-			return fmt.Errorf("core: agent %d obs report: %w", agentID, err)
-		}
+		report = reg.AppendReport(nil, uint32(agentID), incarnation)
 	}
-	if err := w.WriteFin(expected - resume); err != nil {
+	if err := w.WriteFin(expected-resume, report); err != nil {
 		return fmt.Errorf("core: agent %d fin: %w", agentID, err)
 	}
 	return nil
@@ -369,10 +288,7 @@ type fleetAggregator struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	parked    []*fbflow.Partial
-	gapped    []bool
-	merged    []bool
-	next      int
+	front     *frontier[*Cell]
 	ds        *fbflow.Dataset
 	pool      sync.Pool
 	received  []uint64 // agent-task credit, gapped cells included
@@ -384,34 +300,18 @@ type fleetAggregator struct {
 	gaps      []CoverageGap
 	err       error
 
-	// Federated observability. Cell deltas park beside their partials and
-	// fold only when the frontier consumes the cell; reports are
-	// per-process ephemera kept for the manifest and the exported
-	// timeline. All of it is best-effort: an undecodable obs payload is
-	// dropped and counted, never allowed to fail the dataset protocol.
-	parkedObs  [][]byte           // per-cell encoded delta awaiting its merge
-	obsFree    [][]byte           // recycled delta buffers
+	// Federated observability and audit. A cell's obs delta and
+	// checkpoints park with its partial and land only when the frontier
+	// consumes the cell. Both are best-effort: an undecodable section is
+	// dropped and counted, never allowed to fail the dataset protocol,
+	// and a dropped audit section makes its cell a ledger hole.
 	scratch    obs.Delta          // decode scratch, reused at the frontier
 	reports    []*obs.AgentReport // latest incarnation's report per agent
 	obsDrops   int64
+	audDrops   int64
 	agentLabel []string // preformatted agent-id labels for series names
 	stallCell  int      // frontier cell an open stall span is blaming, -1 if none
 	stallStart time.Time
-
-	// Checkpoint side-channel (nil when auditing is off): agent AUDIT
-	// frames park per cell like obs deltas and append to the
-	// authoritative ledger exactly when the frontier consumes the cell.
-	// A merged cell whose audit frame never arrived becomes a ledger
-	// hole — a hole means "no trusted hash", never "hash of nothing".
-	parkedAud []auditSlot
-	audDrops  int64
-}
-
-// auditSlot parks up to two checkpoints for one cell: the fleet-collect
-// record hash and, in matrix mode, the matrix-synth hash.
-type auditSlot struct {
-	f, m       fbwire.AuditCell
-	hasF, hasM bool
 }
 
 // ServeFleetAggregator accepts agent connections on ln and merges their
@@ -443,17 +343,11 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 		lastSeen:  make([]time.Time, agents),
 	}
 	ag.cond = sync.NewCond(&ag.mu)
-	ag.parked = make([]*fbflow.Partial, ag.cells)
-	ag.gapped = make([]bool, ag.cells)
-	ag.merged = make([]bool, ag.cells)
-	ag.parkedObs = make([][]byte, ag.cells)
-	if s.Cfg.Audit.Enabled() {
-		ag.parkedAud = make([]auditSlot, ag.cells)
-	}
+	ag.front = newFrontier(ag.cells, ag.consumeLocked)
 	ag.reports = make([]*obs.AgentReport, agents)
 	ag.agentLabel = make([]string, agents)
 	ag.stallCell = -1
-	ag.pool.New = func() any { return fbflow.NewPartial() }
+	ag.pool.New = func() any { return &Cell{Partial: fbflow.NewPartial()} }
 	now := time.Now()
 	for a := 0; a < agents; a++ {
 		ag.expected[a] = uint64(ag.shards[a].Span() * s.Cfg.FleetWindows)
@@ -621,16 +515,10 @@ func (ag *fleetAggregator) healthLocked(now time.Time) {
 	}
 	frontierWin := 0
 	if ag.spw > 0 {
-		frontierWin = ag.next / ag.spw
-	}
-	parkedCells := 0
-	for _, p := range ag.parked {
-		if p != nil {
-			parkedCells++
-		}
+		frontierWin = ag.front.next / ag.spw
 	}
 	reg.SetGauge("fbdcnet_fleet_frontier_window", float64(frontierWin))
-	reg.SetGauge("fbdcnet_fleet_parked_cells", float64(parkedCells))
+	reg.SetGauge("fbdcnet_fleet_parked_cells", float64(ag.front.parked))
 	reg.SetGauge("fbdcnet_fleet_obs_dropped_frames", float64(ag.obsDrops))
 	var b strings.Builder
 	b.WriteString("  agent  state  inc  tasks            lag(win)  last-seen\n")
@@ -658,7 +546,7 @@ func (ag *fleetAggregator) healthLocked(now time.Time) {
 			a, state, ag.lastInc[a], ag.received[a], ag.expected[a], lagWin, age)
 	}
 	reg.SetPanel("agents", b.String())
-	ag.stallLocked(now, parkedCells)
+	ag.stallLocked(now)
 }
 
 // stallLocked tracks frontier stalls: the merge head waiting on one
@@ -666,15 +554,14 @@ func (ag *fleetAggregator) healthLocked(now time.Time) {
 // `frontier-stall:agent-N` span on the aggregator timeline (the
 // frontier-lag annotation of the exported trace) and a per-agent
 // stall-seconds series. Caller holds ag.mu.
-func (ag *fleetAggregator) stallLocked(now time.Time, parkedCells int) {
-	blocked := parkedCells > 0 &&
-		ag.next < ag.cells && ag.parked[ag.next] == nil && !ag.gapped[ag.next]
+func (ag *fleetAggregator) stallLocked(now time.Time) {
+	blocked := ag.front.stalled()
 	switch {
-	case blocked && ag.stallCell == ag.next:
+	case blocked && ag.stallCell == ag.front.next:
 		// Still stalled on the same cell: the open span keeps growing.
 	case blocked:
 		ag.flushStallLocked(now)
-		ag.stallCell, ag.stallStart = ag.next, now
+		ag.stallCell, ag.stallStart = ag.front.next, now
 	default:
 		ag.flushStallLocked(now)
 	}
@@ -789,11 +676,6 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 		return
 	}
 
-	p := ag.pool.Get().(*fbflow.Partial)
-	defer func() {
-		p.Reset()
-		ag.pool.Put(p)
-	}()
 	for {
 		f, err := r.Next()
 		if err != nil {
@@ -803,102 +685,54 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 		}
 		frames++
 		switch f.Type {
-		case fbwire.TypeObs:
-			// Observability is best-effort where the dataset protocol is
-			// strict: an undecodable obs payload is dropped and counted,
-			// never allowed to fail the run or move the merge frontier.
-			oh, body, err := fbwire.ParseObs(f.Payload)
-			if err != nil {
-				ag.dropObs(a)
-				continue
-			}
-			switch oh.Kind {
-			case fbwire.ObsCell:
-				ag.mu.Lock()
-				if oh.Seq != ag.received[a] || ag.scratch.Decode(body) != nil {
-					ag.dropObsLocked(a)
-					ag.mu.Unlock()
-					continue
-				}
-				window, shard := agentTask(rg, oh.Seq)
-				cell := window*ag.spw + shard
-				if old := ag.parkedObs[cell]; old != nil {
-					ag.obsFree = append(ag.obsFree, old[:0])
-				}
-				ag.parkedObs[cell] = append(ag.getObsBufLocked(), body...)
-				ag.mu.Unlock()
-			case fbwire.ObsFinal:
-				rep := new(obs.AgentReport)
-				if obs.DecodeReport(body, rep) != nil || int(rep.AgentID) != a {
-					ag.dropObs(a)
-					continue
-				}
-				ag.mu.Lock()
-				ag.reports[a] = rep
-				ag.mu.Unlock()
-			}
-		case fbwire.TypeAudit:
-			// Checkpoints are best-effort like obs: a frame the aggregator
-			// cannot trust (undecodable, wrong seq, mislabeled cell) is
-			// dropped and counted; its cell will land in the ledger as an
-			// explicit hole when the frontier reaches it.
-			c, err := fbwire.ParseAudit(f.Payload)
-			if err != nil {
-				ag.dropAudit(a)
-				continue
-			}
-			ag.mu.Lock()
-			window, shard := agentTask(rg, c.Seq)
-			if ag.parkedAud == nil || c.Seq != ag.received[a] ||
-				int(c.Window) != window || int(c.Shard) != shard {
-				ag.dropAuditLocked(a)
-				ag.mu.Unlock()
-				continue
-			}
-			cell := window*ag.spw + shard
-			slot := &ag.parkedAud[cell]
-			if c.Stage == fbwire.AuditMatrixSynth {
-				slot.m, slot.hasM = c, true
-			} else {
-				slot.f, slot.hasF = c, true
-			}
-			ag.s.Cfg.Audit.BB().Record(audit.EvFrameRx, "audit", fbwire.TypeAudit, int64(cell))
-			ag.mu.Unlock()
-		case fbwire.TypePartial:
-			ph, err := fbwire.DecodePartial(f.Payload, p)
+		case fbwire.TypeCell:
+			c := ag.pool.Get().(*Cell)
+			ch, err := fbwire.DecodePartial(f.Payload, c.Partial)
 			if err != nil {
 				ag.fail(fmt.Errorf("core: aggregator: agent %d frame: %w", a, err))
 				return
 			}
 			ag.mu.Lock()
-			if ph.Seq != ag.received[a] {
-				ag.failLocked(fmt.Errorf("core: aggregator: agent %d sent task %d, expected %d", a, ph.Seq, ag.received[a]))
+			if ch.Seq != ag.received[a] {
+				ag.failLocked(fmt.Errorf("core: aggregator: agent %d sent task %d, expected %d", a, ch.Seq, ag.received[a]))
 				ag.mu.Unlock()
 				return
 			}
-			window, shard := agentTask(rg, ph.Seq)
-			if int(ph.Window) != window || int(ph.Shard) != shard {
+			window, shard := agentTask(rg, ch.Seq)
+			if int(ch.Window) != window || int(ch.Shard) != shard {
 				ag.failLocked(fmt.Errorf("core: aggregator: agent %d task %d labeled (%d,%d), want (%d,%d)",
-					a, ph.Seq, ph.Window, ph.Shard, window, shard))
+					a, ch.Seq, ch.Window, ch.Shard, window, shard))
 				ag.mu.Unlock()
 				return
 			}
-			cell := window*ag.spw + shard
-			ag.parked[cell] = p
+			// The delta is decoded (and a bad one dropped) at the frontier;
+			// it must outlive the reader's buffer until then.
+			c.Delta = append(c.Delta[:0], ch.Obs...)
+			if len(ch.Audit) > 0 && !ag.parkAuditLocked(ch.Audit, window, shard, c) {
+				ag.dropLocked(a, &ag.audDrops, "fbdcnet_fleet_audit_drops_total")
+			}
+			ag.s.Cfg.Audit.BB().Record(audit.EvFrameRx, "cell", fbwire.TypeCell, int64(window*ag.spw+shard))
 			ag.received[a]++
-			ag.advanceLocked(winProg)
-			// Whether the frontier consumed the cell or it stays parked,
-			// the partial no longer belongs to this handler.
-			p = ag.pool.Get().(*fbflow.Partial)
+			if ag.front.park(window*ag.spw+shard, c) && ag.spw > 0 {
+				winProg.Set(int64(ag.front.next / ag.spw))
+			}
 			ag.mu.Unlock()
 		case fbwire.TypeFin:
-			sent, err := fbwire.ParseFin(f.Payload)
+			sent, report, err := fbwire.ParseFin(f.Payload)
 			ag.mu.Lock()
 			if err != nil || ag.received[a] != ag.expected[a] {
 				ag.failLocked(fmt.Errorf("core: aggregator: agent %d fin at %d of %d tasks (sent %d, err %v)",
 					a, ag.received[a], ag.expected[a], sent, err))
 				ag.mu.Unlock()
 				return
+			}
+			if len(report) > 0 {
+				rep := new(obs.AgentReport)
+				if obs.DecodeReport(report, rep) != nil || int(rep.AgentID) != a {
+					ag.dropLocked(a, &ag.obsDrops, "fbdcnet_fleet_obs_drops_total")
+				} else {
+					ag.reports[a] = rep
+				}
 			}
 			ag.fin[a] = true
 			ag.cond.Broadcast()
@@ -911,108 +745,68 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 	}
 }
 
-// dropObs counts one dropped obs frame from agent a.
-func (ag *fleetAggregator) dropObs(a int) {
-	ag.mu.Lock()
-	ag.dropObsLocked(a)
-	ag.mu.Unlock()
+// dropLocked counts one dropped best-effort section from agent a on
+// the run total and the per-agent series. Caller holds ag.mu.
+func (ag *fleetAggregator) dropLocked(a int, total *int64, series string) {
+	*total++
+	ag.s.Cfg.Obs.Count(obs.Series(series, "agent", ag.agentLabel[a]), 1)
 }
 
-// dropObsLocked counts one dropped obs frame. Caller holds ag.mu.
-func (ag *fleetAggregator) dropObsLocked(a int) {
-	ag.obsDrops++
-	ag.s.Cfg.Obs.Count(obs.Series("fbdcnet_fleet_obs_drops_total", "agent", ag.agentLabel[a]), 1)
-}
-
-// dropAudit counts one dropped audit frame from agent a.
-func (ag *fleetAggregator) dropAudit(a int) {
-	ag.mu.Lock()
-	ag.dropAuditLocked(a)
-	ag.mu.Unlock()
-}
-
-// dropAuditLocked counts one dropped audit frame. Caller holds ag.mu.
-func (ag *fleetAggregator) dropAuditLocked(a int) {
-	ag.audDrops++
-	ag.s.Cfg.Obs.Count(obs.Series("fbdcnet_fleet_audit_drops_total", "agent", ag.agentLabel[a]), 1)
-}
-
-// getObsBufLocked pops a recycled delta buffer (nil when the free list
-// is empty — append grows it). Caller holds ag.mu.
-func (ag *fleetAggregator) getObsBufLocked() []byte {
-	if n := len(ag.obsFree); n > 0 {
-		b := ag.obsFree[n-1]
-		ag.obsFree = ag.obsFree[:n-1]
-		return b
-	}
-	return nil
-}
-
-// advanceLocked merges every cell the task-order frontier can reach:
-// parked cells merge (and their partials return to the pool), gapped
-// cells skip. A parked obs delta folds into the registry exactly when
-// its cell merges; a delta at a gapped cell (the agent shipped the obs
-// frame, then died before the partial) is discarded, so federated
-// metrics stay a pure function of the merged cell set. Caller holds
-// ag.mu.
-func (ag *fleetAggregator) advanceLocked(winProg *obs.Progress) {
-	moved := false
-	for ag.next < ag.cells {
-		q := ag.parked[ag.next]
-		if q == nil && !ag.gapped[ag.next] {
-			break
-		}
-		if ob := ag.parkedObs[ag.next]; ob != nil {
-			ag.parkedObs[ag.next] = nil
-			if q != nil && ag.scratch.Decode(ob) == nil {
-				ag.s.Cfg.Obs.FoldDelta(&ag.scratch)
-			}
-			ag.obsFree = append(ag.obsFree, ob[:0])
-		}
-		if q != nil {
-			ag.parked[ag.next] = nil
-			ag.ds.MergePartial(q)
-			q.Reset()
-			ag.pool.Put(q)
-			ag.merged[ag.next] = true
-		}
-		if ag.parkedAud != nil {
-			ag.appendAuditLocked(ag.next, q != nil)
-		}
-		ag.next++
-		moved = true
-	}
-	if moved && ag.spw > 0 {
-		winProg.Set(int64(ag.next / ag.spw))
-	}
-}
-
-// appendAuditLocked lands cell's parked checkpoints in the
-// authoritative ledger as the frontier consumes it: matrix-synth first
-// (it precedes the draw), then fleet-collect. A gapped cell — or a
-// merged cell whose audit frame was lost — becomes an explicit hole;
-// holes carry no hash, so a crashed arm's ledger prefix still compares
-// byte-for-byte against a clean run's. Caller holds ag.mu.
-func (ag *fleetAggregator) appendAuditLocked(cell int, mergedCell bool) {
-	aud := ag.s.Cfg.Audit
-	bb := aud.BB()
-	window, shard := cell/ag.spw, cell%ag.spw
-	slot := &ag.parkedAud[cell]
+// parkAuditLocked turns a CELL's audit section into c's checkpoints. It
+// reports false — the section is dropped and the cell becomes a ledger
+// hole — unless this aggregator audits and the section holds exactly
+// the stages this collection mode records, in ledger order. Caller
+// holds ag.mu.
+func (ag *fleetAggregator) parkAuditLocked(sec []byte, window, shard int, c *Cell) bool {
+	cells, n, err := fbwire.ParseAudit(sec)
+	stages := []string{audit.StageFleetCollect}
 	if ag.s.Cfg.FleetMatrix {
-		if mergedCell && slot.hasM {
-			aud.Append(audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: window, Shard: shard, Sum: slot.m.Sum, Count: slot.m.Count})
+		stages = []string{audit.StageMatrixSynth, audit.StageFleetCollect}
+	}
+	if err != nil || !ag.s.Cfg.Audit.Enabled() || n != len(stages) {
+		return false
+	}
+	for i, stage := range stages {
+		if cells[i].Stage != auditWireStage(stage) {
+			return false
+		}
+		c.Audit[i] = audit.Checkpoint{Stage: stage, Window: window, Shard: shard, Sum: cells[i].Sum, Count: cells[i].Count}
+	}
+	c.NAudit = n
+	return true
+}
+
+// auditWireStage maps a cell checkpoint's ledger stage to its CELL
+// audit-section id.
+func auditWireStage(stage string) byte {
+	if stage == audit.StageMatrixSynth {
+		return fbwire.AuditMatrixSynth
+	}
+	return fbwire.AuditFleetCell
+}
+
+// consumeLocked is the aggregator's frontier action: fold the parked
+// obs delta (dropping one that does not decode), then merge the cell
+// and land its checkpoints; a gapped cell (ok false) lands as a ledger
+// hole. Federated metrics stay a pure function of the merged cell set.
+// Caller holds ag.mu.
+func (ag *fleetAggregator) consumeLocked(i int, c *Cell, ok bool) {
+	t := ag.s.fleetTask(i/ag.spw, i%ag.spw)
+	if !ok {
+		ag.s.consumeCell(ag.ds, t, nil)
+		return
+	}
+	if len(c.Delta) > 0 {
+		if ag.scratch.Decode(c.Delta) == nil {
+			ag.s.Cfg.Obs.FoldDelta(&ag.scratch)
 		} else {
-			aud.Hole(audit.StageMatrixSynth, window, shard)
+			ag.dropLocked(ag.ownerOfCell(i), &ag.obsDrops, "fbdcnet_fleet_obs_drops_total")
 		}
 	}
-	if mergedCell && slot.hasF {
-		aud.Append(audit.Checkpoint{Stage: audit.StageFleetCollect, Window: window, Shard: shard, Sum: slot.f.Sum, Count: slot.f.Count})
-		bb.Record(audit.EvCellMerge, audit.StageFleetCollect, int64(window), int64(shard))
-	} else {
-		aud.Hole(audit.StageFleetCollect, window, shard)
-		bb.Record(audit.EvCellHole, audit.StageFleetCollect, int64(window), int64(shard))
-	}
-	*slot = auditSlot{}
+	ag.s.consumeCell(ag.ds, t, c)
+	c.Partial.Reset()
+	c.NAudit = 0
+	ag.pool.Put(c)
 }
 
 // markGaps accounts agent tasks [from, to) as coverage gaps, grouped
@@ -1030,11 +824,11 @@ func (ag *fleetAggregator) markGaps(a int, from, to uint64) {
 			Agent: a, Window: window, ShardLo: shard, ShardHi: shard + n, Cells: n,
 		})
 		for c := 0; c < n; c++ {
-			ag.gapped[window*ag.spw+shard+c] = true
+			ag.front.gap(window*ag.spw + shard + c)
 		}
 		t = runEnd
 	}
-	ag.advanceLocked(nil)
+	ag.front.advance()
 }
 
 // fail records the first fatal protocol error; the waiter surfaces it.
@@ -1263,7 +1057,8 @@ func SelfExecSpawner(args func(agentID, incarnation int) []string) (AgentSpawner
 // `agents` self-exec agent processes over a unix socket in a private
 // temp directory, injects the aggregate as the System's fleet dataset,
 // and returns the coverage gaps (empty for a clean run). args builds
-// the child process's argument list; it receives the socket path.
+// the child process's argument list; it receives the socket's
+// "unix:/path" address spec.
 func (s *System) CollectFleetDistributed(agents int, args func(addr string, agentID, incarnation int) []string) ([]CoverageGap, error) {
 	dir, err := os.MkdirTemp("", "fbflow-agg-")
 	if err != nil {
@@ -1271,7 +1066,7 @@ func (s *System) CollectFleetDistributed(agents int, args func(addr string, agen
 	}
 	defer os.RemoveAll(dir)
 	addr := filepath.Join(dir, "agg.sock")
-	spawn, err := SelfExecSpawner(func(a, inc int) []string { return args(addr, a, inc) })
+	spawn, err := SelfExecSpawner(func(a, inc int) []string { return args("unix:"+addr, a, inc) })
 	if err != nil {
 		return nil, err
 	}
@@ -1288,30 +1083,20 @@ func (s *System) CollectFleetDistributed(agents int, args func(addr string, agen
 // fleetReferenceSkipping is the sequential oracle for gap runs: the
 // single-process collection with the given cells skipped at the merge.
 // The distributed dataset of a crashed run must equal it bit for bit.
+// It walks the grid in plain task order with no frontier, so it checks
+// the frontier's merge order instead of sharing it; only the cell body
+// is the common collectCell.
 func (s *System) fleetReferenceSkipping(skip map[int]bool) *fbflow.Dataset {
-	tasks := s.fleetTasks()
-	tagger := fbflow.NewTagger(s.Topo)
 	ds := fbflow.NewDataset()
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mat *services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		mat = services.NewDemandMatrix()
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-	p := fbflow.NewPartial()
-	if s.Cfg.SketchMode {
-		p.EnableCardinality()
-	}
+	sc := s.newCellScratch(1)[0]
 	// Instrumented like the distributed path: one obs shard observed and
 	// folded per kept cell, so a registry-carrying oracle run is also the
 	// counter reference for federation under gaps.
-	reg := s.Cfg.Obs
+	c := &Cell{Partial: s.newPartial(), Obs: s.Cfg.Obs.NewShard()}
 	aud := s.Cfg.Audit
-	sh := reg.NewShard()
-	for i, t := range tasks {
+	spw := s.fleetShardsPerWindow()
+	for i := 0; i < spw*s.Cfg.FleetWindows; i++ {
+		t := s.fleetTask(i/spw, i%spw)
 		if skip[i] {
 			// Audit parity with the distributed crash arm: a skipped cell
 			// is an explicit ledger hole, never a hash.
@@ -1321,35 +1106,13 @@ func (s *System) fleetReferenceSkipping(skip map[int]bool) *fbflow.Dataset {
 			aud.Hole(audit.StageFleetCollect, t.window, t.shard)
 			continue
 		}
-		p.Reset()
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
+		c.Partial.Reset()
+		s.collectCell(t, sc, c)
+		for _, cp := range c.Audit[:c.NAudit] {
+			aud.Append(cp)
 		}
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			s.collectMatrixShard(tagger, mprog, t, mat, p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, t, p, sh, fh)
-		}
-		if aud.Enabled() {
-			if mh != nil {
-				aud.Record(audit.StageMatrixSynth, t.window, t.shard, mh)
-			}
-			aud.Record(audit.StageFleetCollect, t.window, t.shard, fh)
-		}
-		if reg.Enabled() {
-			sh.Observe(s.obsIDs.fleetShardUs, time.Since(t0).Microseconds())
-		}
-		sh.Fold()
-		ds.MergePartial(p)
+		c.Obs.Fold()
+		ds.MergePartial(c.Partial)
 	}
 	return ds
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"fbdcnet/internal/fbwire"
 	"fbdcnet/internal/obs"
+	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/obs/export"
 )
 
@@ -317,5 +319,137 @@ func TestAgentMetricsAddr(t *testing.T) {
 		if got := AgentMetricsAddr(c.base, c.a); got != c.want {
 			t.Errorf("AgentMetricsAddr(%q, %d) = %q, want %q", c.base, c.a, got, c.want)
 		}
+	}
+}
+
+// TestDistributedBestEffortSections drives one agent by hand so that
+// one CELL carries a corrupt obs section and another a corrupt audit
+// section. Both cells must still merge: the digest equals the oracle
+// over every cell, each drop is counted once, the corrupt-audit cell is
+// the ledger's only hole, and the federated counters lack exactly the
+// dropped delta.
+func TestDistributedBestEffortSections(t *testing.T) {
+	const badObs, badAudit = 2, 5
+	cfg := QuickConfig()
+	cfg.FleetWindows = 2
+	acfg := cfg
+	acfg.Obs = obs.NewRegistry()
+	acfg.Audit = audit.New()
+	asys := MustNewSystem(acfg)
+	addr := filepath.Join(t.TempDir(), "agg.sock")
+	ln, err := net.Listen("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gcfg := cfg
+	gcfg.Obs = obs.NewRegistry()
+	gcfg.Audit = audit.New()
+	gsys := MustNewSystem(gcfg)
+	spw := gsys.fleetShardsPerWindow()
+	cells := spw * cfg.FleetWindows
+	var dropped map[string]int64 // counter name → the corrupt-obs cell's increment
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- func() error {
+			conn, err := DialFleetAgent("unix", addr, 5*time.Second)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			w, r := fbwire.NewWriter(conn), fbwire.NewReader(conn)
+			if err := w.WriteHello(fbwire.Hello{Version: fbwire.Version, ShardHi: uint32(spw),
+				Windows: uint32(cfg.FleetWindows), Check: gsys.fleetConfigCheck()}); err != nil {
+				return err
+			}
+			if f, err := r.Next(); err != nil || f.Type != fbwire.TypeWelcome {
+				return fmt.Errorf("awaiting welcome: type %#x err %v", f.Type, err)
+			}
+			sc := gsys.newCellScratch(1)[0]
+			c := &Cell{Partial: gsys.newPartial(), Obs: gcfg.Obs.NewShard()}
+			for i := 0; i < cells; i++ {
+				task := gsys.fleetTask(i/spw, i%spw)
+				c.Partial.Reset()
+				gsys.collectCell(task, sc, c)
+				delta := c.Obs.AppendDelta(nil)
+				before := map[string]int64{}
+				for _, name := range fedCounters {
+					before[name] = gcfg.Obs.CounterValue(name)
+				}
+				c.Obs.Fold()
+				if i == badObs {
+					dropped = map[string]int64{}
+					for _, name := range fedCounters {
+						dropped[name] = gcfg.Obs.CounterValue(name) - before[name]
+					}
+					delta = []byte{0xde, 0xad, 0xbe, 0xef}
+				}
+				var sec []byte
+				for _, cp := range c.Audit[:c.NAudit] {
+					sec = fbwire.AppendAudit(sec, fbwire.AuditCell{Stage: auditWireStage(cp.Stage), Sum: cp.Sum, Count: cp.Count})
+				}
+				if i == badAudit {
+					sec[0] = 0x7f // unknown stage
+				}
+				if err := w.WritePartial(fbwire.PartialHeader{Seq: uint64(i), Window: uint32(task.window),
+					Shard: uint32(task.shard), Obs: delta, Audit: sec}, c.Partial); err != nil {
+					return err
+				}
+			}
+			return w.WriteFin(uint64(cells), nil)
+		}()
+	}()
+	ds, gaps, err := asys.ServeFleetAggregator(ln, 1, 10*time.Second)
+	ln.Close()
+	if aerr := <-agentErr; aerr != nil {
+		t.Fatal(aerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gaps) != 0 || !asys.InjectFleetDataset(ds, gaps) {
+		t.Fatalf("clean run: %d gaps, or dataset already memoized", len(gaps))
+	}
+
+	rcfg := cfg
+	rcfg.Obs = obs.NewRegistry()
+	ref := MustNewSystem(rcfg)
+	if !ref.InjectFleetDataset(ref.fleetReferenceSkipping(nil), nil) {
+		t.Fatal("reference system already memoized")
+	}
+	if got, want := digestJSON(t, asys), digestJSON(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("digest differs from the oracle: a corrupt section must not drop its cell\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	aggReg := acfg.Obs
+	for _, name := range []string{"fbdcnet_fleet_obs_drops_total", "fbdcnet_fleet_audit_drops_total"} {
+		if v := aggReg.SeriesValue(obs.Series(name, "agent", "0")); v != 1 {
+			t.Errorf("%s = %v, want 1", name, v)
+		}
+	}
+
+	holes := 0
+	for _, cp := range acfg.Audit.Checkpoints() {
+		if cp.Hole {
+			holes++
+			if cp.Window != badAudit/spw || cp.Shard != badAudit%spw || cp.Stage != audit.StageFleetCollect {
+				t.Errorf("hole at %s (%d,%d), want fleet-collect (%d,%d)", cp.Stage, cp.Window, cp.Shard, badAudit/spw, badAudit%spw)
+			}
+		}
+	}
+	if holes != 1 {
+		t.Errorf("ledger has %d holes, want 1", holes)
+	}
+
+	for _, name := range fedCounters {
+		if dropped[name] <= 0 {
+			t.Fatalf("%s: the corrupt-obs cell counted %d, so the check proves nothing", name, dropped[name])
+		}
+		if got, want := aggReg.CounterValue(name), rcfg.Obs.CounterValue(name)-dropped[name]; got != want {
+			t.Errorf("%s: federated=%d, want oracle minus the dropped delta = %d", name, got, want)
+		}
+	}
+	if got, want := aggReg.HistogramCount(fedHist), rcfg.Obs.HistogramCount(fedHist)-1; got != want {
+		t.Errorf("%s count: federated=%d, want %d", fedHist, got, want)
 	}
 }

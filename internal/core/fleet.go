@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fbdcnet/internal/fbflow"
+	"fbdcnet/internal/fbwire"
 	"fbdcnet/internal/obs"
 	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/packet"
@@ -43,7 +44,7 @@ const fleetMatrixShardRacks = 64
 // ranges and each worker synthesizes a demand matrix for its racks before
 // drawing flows from it (see services.MatrixProgram).
 func (s *System) FleetDataset() *fbflow.Dataset {
-	s.fleetOnce.Do(func() { s.fleet = s.collectFleet() })
+	s.fleetOnce.Do(func() { s.fleet = s.collectWindows(0, s.Cfg.FleetWindows) })
 	return s.fleet
 }
 
@@ -55,165 +56,267 @@ type fleetTask struct {
 	lo, hi int // host ID range [lo, hi), or rack ID range in matrix mode
 }
 
-// fleetTasks enumerates the full (window × shard) task grid in the
-// deterministic merge order.
-func (s *System) fleetTasks() []fleetTask {
-	n, width := s.Topo.NumHosts(), fleetShardHosts
+// fleetGrid returns the size of the ID space the shards partition and
+// one shard's width: hosts in sampling mode, racks in matrix mode.
+func (s *System) fleetGrid() (n, width int) {
 	if s.Cfg.FleetMatrix {
-		n, width = len(s.Topo.Racks), fleetMatrixShardRacks
+		return len(s.Topo.Racks), fleetMatrixShardRacks
 	}
-	shards := (n + width - 1) / width
-	tasks := make([]fleetTask, 0, s.Cfg.FleetWindows*shards)
-	for w := 0; w < s.Cfg.FleetWindows; w++ {
-		for sh := 0; sh < shards; sh++ {
-			lo := sh * width
-			hi := min(lo+width, n)
-			tasks = append(tasks, fleetTask{window: w, shard: sh, lo: lo, hi: hi})
-		}
-	}
-	return tasks
+	return s.Topo.NumHosts(), fleetShardHosts
 }
 
-// collectFleet runs the sharded synthetic day and merges the partials.
-//
-// Completed shards merge as soon as the task-order frontier reaches them
-// (a worker finishing task i out of order parks it until every earlier
-// task has merged), and merged partials return to a pool for reuse. The
-// merge sequence is therefore exactly task order — bit-identical across
-// worker counts — while live memory stays bounded by the worker count
-// plus the out-of-order window instead of the full task grid, which is
-// what keeps the 10× fleet preset collectable.
-//
-// Each task's obs shard parks and folds at the same frontier as its
-// partial, so the registry's fold sequence is task order too: metric
-// state at any frontier is reproducible at any worker count, and a live
-// scrape can never observe half a shard.
-func (s *System) collectFleet() *fbflow.Dataset {
-	reg := s.Cfg.Obs
-	sp := reg.StartSpan("fleet-collect")
-	defer sp.End()
-	aud := s.Cfg.Audit
-	bb := aud.BB()
-	bb.Record(audit.EvStageEnter, audit.StageFleetCollect, 0, 0)
-	defer bb.Record(audit.EvStageExit, audit.StageFleetCollect, 0, 0)
+// fleetShardsPerWindow returns the shard-axis width of the task grid —
+// a pure function of topology size and collection mode, never of the
+// agent or worker count.
+func (s *System) fleetShardsPerWindow() int {
+	n, width := s.fleetGrid()
+	return (n + width - 1) / width
+}
 
-	tasks := s.fleetTasks()
-	tagger := fbflow.NewTagger(s.Topo)
-	ds := fbflow.NewDataset()
+// fleetTask is the one task constructor: cell (window, shard) of the
+// grid with its ID range.
+func (s *System) fleetTask(window, shard int) fleetTask {
+	n, width := s.fleetGrid()
+	lo := shard * width
+	return fleetTask{window: window, shard: shard, lo: lo, hi: min(lo+width, n)}
+}
 
-	workers := s.Cfg.TaggerWorkers()
-	if workers > len(tasks) {
-		workers = len(tasks)
+// Cell is one task's complete output and the unit every collector moves
+// to the merge frontier: the partial dataset, the obs delta recorded
+// while computing it, and its audit checkpoints (matrix-synth then
+// fleet-collect in matrix mode, fleet-collect alone otherwise).
+type Cell struct {
+	Partial *fbflow.Partial
+	// Obs is the cell's metric delta as a live shard. Delta is the same
+	// delta in wire form: an agent encodes it for the CELL frame, and
+	// the aggregator parks it in place of Obs.
+	Obs   *obs.Shard
+	Delta []byte
+	// NAudit is 0 when the cell carries no trusted checkpoint (auditing
+	// off, or a dropped audit section): it lands in the ledger as a hole.
+	Audit  [fbwire.MaxAuditCells]audit.Checkpoint
+	NAudit int
+}
+
+// newPartial returns an empty partial for this System's collection mode.
+func (s *System) newPartial() *fbflow.Partial {
+	p := fbflow.NewPartial()
+	if s.Cfg.SketchMode {
+		p.EnableCardinality()
 	}
+	return p
+}
+
+// cellScratch is one worker's reusable collection state. The tagger and
+// programs are read-only and shared across workers; the demand matrix
+// and the checkpoint hashes are the worker's own.
+type cellScratch struct {
+	tagger *fbflow.Tagger
+	prog   *services.FleetProgram
+	mprog  *services.MatrixProgram
+	mat    *services.DemandMatrix
+	fh, mh audit.Hash
+}
+
+// newCellScratch returns one scratch per worker. The demand matrix is
+// reused (Reset, not reallocated) across every task its worker runs, so
+// steady-state synthesis is allocation-free.
+func (s *System) newCellScratch(workers int) []*cellScratch {
+	tagger := fbflow.NewTagger(s.Topo)
 	var prog *services.FleetProgram
 	var mprog *services.MatrixProgram
-	var mats []*services.DemandMatrix
 	if s.Cfg.FleetMatrix {
 		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		// One demand matrix per worker, reused (Reset, not reallocated)
-		// across every task the worker runs: steady-state synthesis is
-		// allocation-free.
-		mats = make([]*services.DemandMatrix, workers)
-		for i := range mats {
-			mats[i] = services.NewDemandMatrix()
-		}
 	} else {
 		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
 	}
-	shardsPerWindow := 0
-	if s.Cfg.FleetWindows > 0 {
-		shardsPerWindow = len(tasks) / s.Cfg.FleetWindows
+	out := make([]*cellScratch, workers)
+	for i := range out {
+		out[i] = &cellScratch{tagger: tagger, prog: prog, mprog: mprog}
+		if s.Cfg.FleetMatrix {
+			out[i].mat = services.NewDemandMatrix()
+		}
 	}
-	winProg := reg.NewProgress("fleet-windows", int64(s.Cfg.FleetWindows))
+	return out
+}
+
+// collectCell computes task t into c: the partial (which must arrive
+// empty), the obs counters, the shard-time observation and the
+// checkpoints. It is the only producer of cells — batch and serve
+// workers, distributed agents and the sequential oracle all call it —
+// and returns the compute time when metrics are on (0 otherwise).
+func (s *System) collectCell(t fleetTask, sc *cellScratch, c *Cell) time.Duration {
+	reg := s.Cfg.Obs
+	var t0 time.Time
+	if reg.Enabled() {
+		t0 = time.Now()
+	}
+	var fh, mh *audit.Hash
+	if s.Cfg.Audit.Enabled() {
+		sc.fh.Reset()
+		fh = &sc.fh
+		if s.Cfg.FleetMatrix {
+			sc.mh.Reset()
+			mh = &sc.mh
+		}
+	}
+	if s.Cfg.FleetMatrix {
+		s.collectMatrixShard(sc.tagger, sc.mprog, t, sc.mat, c.Partial, c.Obs, fh, mh)
+	} else {
+		s.collectShard(sc.tagger, sc.prog, t, c.Partial, c.Obs, fh)
+	}
+	c.NAudit = 0
+	if mh != nil {
+		c.Audit[0] = audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: t.window, Shard: t.shard, Sum: mh.Sum(), Count: mh.Count()}
+		c.NAudit = 1
+	}
+	if fh != nil {
+		c.Audit[c.NAudit] = audit.Checkpoint{Stage: audit.StageFleetCollect, Window: t.window, Shard: t.shard, Sum: fh.Sum(), Count: fh.Count()}
+		c.NAudit++
+	}
+	if !reg.Enabled() {
+		return 0
+	}
+	d := time.Since(t0)
+	c.Obs.Observe(s.obsIDs.fleetShardUs, d.Microseconds())
+	return d
+}
+
+// consumeCell is what the merge frontier does with cell t: merge the
+// partial, fold the obs shard, and land the checkpoints in the ledger.
+// A nil c is a gapped cell. A gapped cell, or one without checkpoints,
+// is recorded as an explicit hole: a hole means "no trusted hash",
+// never "hash of nothing", so a crashed run's ledger prefix still
+// compares byte-for-byte against a clean run's.
+func (s *System) consumeCell(ds *fbflow.Dataset, t fleetTask, c *Cell) {
+	if c != nil {
+		ds.MergePartial(c.Partial)
+		c.Obs.Fold()
+	}
+	aud := s.Cfg.Audit
+	if !aud.Enabled() {
+		return
+	}
+	if c != nil && c.NAudit > 0 {
+		for _, cp := range c.Audit[:c.NAudit] {
+			aud.Append(cp)
+		}
+		aud.BB().Record(audit.EvCellMerge, audit.StageFleetCollect, int64(t.window), int64(t.shard))
+		return
+	}
+	if s.Cfg.FleetMatrix {
+		aud.Hole(audit.StageMatrixSynth, t.window, t.shard)
+	}
+	aud.Hole(audit.StageFleetCollect, t.window, t.shard)
+	aud.BB().Record(audit.EvCellHole, audit.StageFleetCollect, int64(t.window), int64(t.shard))
+}
+
+// frontier is the task-order merge frontier every collector shares:
+// cells complete in any order, park at their index, and are consumed
+// strictly in index order once every earlier cell has been consumed or
+// gapped. The consume sequence is therefore exactly task order —
+// bit-identical across worker and agent counts — while live memory
+// stays bounded by the out-of-order window instead of the whole grid.
+// It holds no lock: callers serialize park, gap and advance.
+type frontier[T any] struct {
+	cells   []T
+	state   []uint8 // cellPending, cellParked or cellGapped
+	next    int     // first unconsumed index
+	parked  int     // cells parked and not yet consumed
+	consume func(i int, v T, ok bool)
+}
+
+const (
+	cellPending = iota
+	cellParked
+	cellGapped
+)
+
+// newFrontier returns a frontier over n cells. consume receives each
+// cell in index order; ok is false (and v the zero value) for a gap.
+func newFrontier[T any](n int, consume func(i int, v T, ok bool)) *frontier[T] {
+	return &frontier[T]{cells: make([]T, n), state: make([]uint8, n), consume: consume}
+}
+
+// park stores cell i and advances; it reports whether the frontier moved.
+func (f *frontier[T]) park(i int, v T) bool {
+	f.cells[i], f.state[i] = v, cellParked
+	f.parked++
+	return f.advance()
+}
+
+// gap marks cell i as never arriving. Call advance once the run of gaps
+// is marked.
+func (f *frontier[T]) gap(i int) { f.state[i] = cellGapped }
+
+// advance consumes every cell the frontier can reach and reports
+// whether it moved.
+func (f *frontier[T]) advance() bool {
+	start := f.next
+	for f.next < len(f.state) && f.state[f.next] != cellPending {
+		i := f.next
+		v, ok := f.cells[i], f.state[i] == cellParked
+		var zero T
+		f.cells[i] = zero
+		if ok {
+			f.parked--
+		}
+		f.next++
+		f.consume(i, v, ok)
+	}
+	return f.next > start
+}
+
+// stalled reports whether the head cell is missing while later cells
+// wait parked behind it.
+func (f *frontier[T]) stalled() bool {
+	return f.parked > 0 && f.next < len(f.state) && f.state[f.next] == cellPending
+}
+
+// collectWindows runs windows [w0, w0+windows) of the sharded synthetic
+// day and merges their cells at the frontier. Batch collection is one
+// call over the whole day; serve mode calls it once per rolling window.
+// Merged cells return to a pool for reuse, and each cell's obs shard
+// folds as its partial merges, so the registry's fold sequence is task
+// order too: metric state at any frontier is reproducible at any worker
+// count, and a live scrape can never observe half a shard.
+func (s *System) collectWindows(w0, windows int) *fbflow.Dataset {
+	reg := s.Cfg.Obs
+	sp := reg.StartSpan("fleet-collect")
+	defer sp.End()
+	bb := s.Cfg.Audit.BB()
+	bb.Record(audit.EvStageEnter, audit.StageFleetCollect, 0, 0)
+	defer bb.Record(audit.EvStageExit, audit.StageFleetCollect, 0, 0)
+
+	spw := s.fleetShardsPerWindow()
+	n := spw * windows
+	task := func(i int) fleetTask { return s.fleetTask(w0+i/spw, i%spw) }
+	ds := fbflow.NewDataset()
+	workers := min(s.Cfg.TaggerWorkers(), n)
+	scratch := s.newCellScratch(workers)
+	pool := sync.Pool{New: func() any { return &Cell{Partial: s.newPartial(), Obs: reg.NewShard()} }}
+	winProg := reg.NewProgress("fleet-windows", int64(w0+windows))
 	busyNs := make([]int64, workers+1) // worker-owned slots, summed after the run
 	collectStart := time.Now()
 
-	var (
-		mu        sync.Mutex
-		parked    = make([]*fbflow.Partial, len(tasks))
-		parkedObs = make([]*obs.Shard, len(tasks))
-		done      = make([]bool, len(tasks))
-		next      int
-		pool      = sync.Pool{New: func() any {
-			p := fbflow.NewPartial()
-			if s.Cfg.SketchMode {
-				p.EnableCardinality()
-			}
-			return p
-		}}
-		obsPool = sync.Pool{New: func() any { return reg.NewShard() }}
-	)
-	// Parked checkpoint values (no pointers: the arrays are written once
-	// per task by its worker and read at the frontier under mu, exactly
-	// like done[]). parkedAudM exists only in matrix mode, where each cell
-	// carries a second matrix-synth checkpoint.
-	var parkedAudF, parkedAudM []audit.Checkpoint
-	if aud.Enabled() {
-		parkedAudF = make([]audit.Checkpoint, len(tasks))
-		if s.Cfg.FleetMatrix {
-			parkedAudM = make([]audit.Checkpoint, len(tasks))
-		}
-	}
-	runParallelWorkers(workers, len(tasks), func(w, i int) {
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
-		}
-		p := pool.Get().(*fbflow.Partial)
-		sh := obsPool.Get().(*obs.Shard)
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			s.collectMatrixShard(tagger, mprog, tasks[i], mats[w], p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, tasks[i], p, sh, fh)
-		}
-		if aud.Enabled() {
-			t := tasks[i]
-			parkedAudF[i] = audit.Checkpoint{Stage: audit.StageFleetCollect, Window: t.window, Shard: t.shard, Sum: fhv.Sum(), Count: fhv.Count()}
-			if parkedAudM != nil {
-				parkedAudM[i] = audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: t.window, Shard: t.shard, Sum: mhv.Sum(), Count: mhv.Count()}
-			}
-		}
-		if reg.Enabled() {
-			d := time.Since(t0)
-			sh.Observe(s.obsIDs.fleetShardUs, d.Microseconds())
-			busyNs[w] += d.Nanoseconds()
-		}
+	var mu sync.Mutex
+	front := newFrontier(n, func(i int, c *Cell, _ bool) {
+		s.consumeCell(ds, task(i), c)
+		c.Partial.Reset()
+		pool.Put(c)
+	})
+	runParallelWorkers(workers, n, func(w, i int) {
+		c := pool.Get().(*Cell)
+		busyNs[w] += s.collectCell(task(i), scratch[w], c).Nanoseconds()
 		mu.Lock()
-		parked[i], parkedObs[i], done[i] = p, sh, true
-		mergeStart := next
-		for next < len(tasks) && done[next] {
-			q, qs := parked[next], parkedObs[next]
-			parked[next], parkedObs[next] = nil, nil
-			ds.MergePartial(q)
-			q.Reset()
-			pool.Put(q)
-			qs.Fold()
-			obsPool.Put(qs)
-			if aud.Enabled() {
-				if parkedAudM != nil {
-					aud.Append(parkedAudM[next])
-				}
-				aud.Append(parkedAudF[next])
-				bb.Record(audit.EvCellMerge, audit.StageFleetCollect, int64(tasks[next].window), int64(tasks[next].shard))
-			}
-			next++
-		}
-		if reg.Enabled() && next > mergeStart && shardsPerWindow > 0 {
-			winProg.Set(int64(next / shardsPerWindow))
+		if front.park(i, c) && reg.Enabled() {
+			winProg.Set(int64(w0 + front.next/spw))
 		}
 		mu.Unlock()
 	})
 
 	if reg.Enabled() {
-		winProg.Set(int64(s.Cfg.FleetWindows))
+		winProg.Set(int64(w0 + windows))
 		elapsed := time.Since(collectStart).Nanoseconds()
 		var busy int64
 		for _, b := range busyNs {

@@ -4,20 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
-	"fbdcnet/internal/fbflow"
-	"fbdcnet/internal/obs"
-	"fbdcnet/internal/obs/audit"
-	"fbdcnet/internal/services"
 	"fbdcnet/internal/sketch"
 	"fbdcnet/internal/topology"
 )
 
 // Serve mode: an endless rolling-window fleet collection. Each window
-// runs the same sharded, task-order-merged collection as FleetDataset,
-// but into a window-local dataset that is dropped once its statistics
+// is a one-window call of the collector FleetDataset runs, into a
+// window-local dataset that is dropped once its statistics
 // are extracted — live memory is bounded by one window plus the fixed
 // sketch state, no matter how long the loop runs. Window w's rng streams
 // are keyed exactly like batch mode's window w, so a serve run over the
@@ -57,17 +52,15 @@ type ServeOptions struct {
 }
 
 // applyReload merges the reloadable fields of next into the system
-// config and reports whether the partial pool must be rebuilt.
-func (s *System) applyReload(next Config) (repool bool) {
+// config.
+func (s *System) applyReload(next Config) {
 	c := &s.Cfg
-	repool = c.SketchMode != next.SketchMode
 	c.FleetWindowSec = next.FleetWindowSec
 	c.FleetSamples = next.FleetSamples
 	c.FleetMatrix = next.FleetMatrix
 	c.Taggers = next.Taggers
 	c.MemCeilingBytes = next.MemCeilingBytes
 	c.SketchMode = next.SketchMode
-	return repool
 }
 
 // Serve runs the rolling-window collection loop until the context is
@@ -75,17 +68,6 @@ func (s *System) applyReload(next Config) (repool bool) {
 // breached, or OnWindow returns an error.
 func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 	reg := s.Cfg.Obs
-	tagger := fbflow.NewTagger(s.Topo)
-	newPool := func() *sync.Pool {
-		return &sync.Pool{New: func() any {
-			p := fbflow.NewPartial()
-			if s.Cfg.SketchMode {
-				p.EnableCardinality()
-			}
-			return p
-		}}
-	}
-	pool := newPool()
 	rates := sketch.NewTDigest(100)
 	windows := reg.Counter("fbdcnet_serve_windows_total",
 		"rolling windows completed by the serve loop")
@@ -102,9 +84,7 @@ func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 			select {
 			case next, ok := <-opts.Reload:
 				if ok {
-					if s.applyReload(next) {
-						pool = newPool()
-					}
+					s.applyReload(next)
 					applied = true
 				}
 			default:
@@ -115,7 +95,7 @@ func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 		}
 
 		start := time.Now()
-		ds := s.collectOneWindow(w, tagger, pool)
+		ds := s.collectWindows(w, 1)
 		st := ServeWindowStats{
 			Window:     w,
 			TotalBytes: ds.TotalBytes(),
@@ -156,11 +136,6 @@ func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 			reg.SetGauge("fbdcnet_serve_heap_bytes", float64(st.HeapBytes))
 			reg.SetGauge("fbdcnet_serve_host_rate_p50_mbps", st.HostRateP50)
 			reg.SetGauge("fbdcnet_serve_host_rate_p99_mbps", st.HostRateP99)
-			if st.DistinctFlows > 0 {
-				reg.SetGauge("fbdcnet_fleet_distinct_flows", st.DistinctFlows)
-				reg.SetGauge("fbdcnet_fleet_distinct_hosts", st.DistinctHosts)
-				reg.SetGauge("fbdcnet_fleet_distinct_racks", st.DistinctRacks)
-			}
 		}
 		if c := s.Cfg.MemCeilingBytes; c > 0 && int64(st.HeapBytes) > c {
 			return fmt.Errorf("core: serve window %d: heap %d bytes exceeds ceiling %d",
@@ -173,100 +148,4 @@ func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 		}
 	}
 	return nil
-}
-
-// collectOneWindow runs window w's shard tasks with the same frontier
-// merge as collectFleet and returns the window-local dataset. The
-// diurnal load factor cycles over FleetWindows, so an endless run keeps
-// tracing the synthetic day; the rng streams stay keyed by the absolute
-// window index, so no two windows replay the same flows.
-func (s *System) collectOneWindow(w int, tagger *fbflow.Tagger, pool *sync.Pool) *fbflow.Dataset {
-	n, width := s.Topo.NumHosts(), fleetShardHosts
-	if s.Cfg.FleetMatrix {
-		n, width = len(s.Topo.Racks), fleetMatrixShardRacks
-	}
-	shards := (n + width - 1) / width
-	tasks := make([]fleetTask, 0, shards)
-	for sh := 0; sh < shards; sh++ {
-		lo := sh * width
-		tasks = append(tasks, fleetTask{window: w, shard: sh, lo: lo, hi: min(lo+width, n)})
-	}
-
-	ds := fbflow.NewDataset()
-	reg := s.Cfg.Obs
-	workers := s.Cfg.TaggerWorkers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mats []*services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		mats = make([]*services.DemandMatrix, workers)
-		for i := range mats {
-			mats[i] = services.NewDemandMatrix()
-		}
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-
-	aud := s.Cfg.Audit
-	var parkedAudF, parkedAudM []audit.Checkpoint
-	if aud.Enabled() {
-		parkedAudF = make([]audit.Checkpoint, len(tasks))
-		if s.Cfg.FleetMatrix {
-			parkedAudM = make([]audit.Checkpoint, len(tasks))
-		}
-	}
-	var (
-		mu        sync.Mutex
-		parked    = make([]*fbflow.Partial, len(tasks))
-		parkedObs = make([]*obs.Shard, len(tasks))
-		done      = make([]bool, len(tasks))
-		next      int
-	)
-	runParallelWorkers(workers, len(tasks), func(wk, i int) {
-		p := pool.Get().(*fbflow.Partial)
-		sh := reg.NewShard()
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			s.collectMatrixShard(tagger, mprog, tasks[i], mats[wk], p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, tasks[i], p, sh, fh)
-		}
-		if aud.Enabled() {
-			t := tasks[i]
-			parkedAudF[i] = audit.Checkpoint{Stage: audit.StageFleetCollect, Window: t.window, Shard: t.shard, Sum: fhv.Sum(), Count: fhv.Count()}
-			if parkedAudM != nil {
-				parkedAudM[i] = audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: t.window, Shard: t.shard, Sum: mhv.Sum(), Count: mhv.Count()}
-			}
-		}
-		mu.Lock()
-		parked[i], parkedObs[i], done[i] = p, sh, true
-		for next < len(tasks) && done[next] {
-			q, qs := parked[next], parkedObs[next]
-			parked[next], parkedObs[next] = nil, nil
-			ds.MergePartial(q)
-			q.Reset()
-			pool.Put(q)
-			qs.Fold()
-			if aud.Enabled() {
-				if parkedAudM != nil {
-					aud.Append(parkedAudM[next])
-				}
-				aud.Append(parkedAudF[next])
-			}
-			next++
-		}
-		mu.Unlock()
-	})
-	return ds
 }

@@ -111,9 +111,8 @@ func (s *System) Telemetry() *TelemetryResult {
 }
 
 // runTelemetry fans the (arm, window) grid across the parallel engine.
-// Completed sinks park under the mutex and fold strictly in task index
-// order — the same frontier discipline as fleet partials and obs shards
-// — so the merged aggregate, occupancy quantiles, hotspot ranking, and
+// Completed sinks park at the same merge frontier as fleet cells and
+// fold strictly in task index order, so the merged aggregate, occupancy quantiles, hotspot ranking, and
 // retained records are independent of completion order.
 func (s *System) runTelemetry() *TelemetryResult {
 	sp := s.Cfg.Obs.StartSpan("telemetry")
@@ -129,52 +128,44 @@ func (s *System) runTelemetry() *TelemetryResult {
 
 	n := len(res.Arms) * tcfg.Windows
 	pool := telemetry.NewBufferPool()
-	var (
-		mu      sync.Mutex
-		parked  = make([]*telemetry.Sink, n)
-		done    = make([]bool, n)
-		next    int
-		byPort  = map[uint64]int64{}
-		scratch []int64
-	)
+	byPort := map[uint64]int64{}
+	var scratch []int64
 	prog := s.Cfg.Obs.NewProgress("telemetry-windows", int64(n))
+	front := newFrontier(n, func(i int, snk *telemetry.Sink, _ bool) {
+		arm := &res.Arms[i/tcfg.Windows]
+		w := i % tcfg.Windows
+		arm.Load = append(arm.Load, DiurnalFactor(float64(w)/float64(tcfg.Windows)))
+		var p50, p99, max float64
+		if id, ok := snk.SwitchByName(fmt.Sprintf("rsw%d", arm.Rack)); ok {
+			for _, os := range snk.Occ {
+				if os.Switch == id {
+					p50, p99, max, scratch = telemetry.OccQuantiles(os, tcfg.BufBytes, scratch)
+					break
+				}
+			}
+		}
+		arm.OccP50 = append(arm.OccP50, p50)
+		arm.OccP99 = append(arm.OccP99, p99)
+		arm.OccMax = append(arm.OccMax, max)
+		arm.Agg.Merge(&snk.Agg)
+		telemetry.Hotspots(snk, byPort)
+		for _, r := range snk.Records {
+			if len(res.Records) < telemetryMaxRecords {
+				res.Records = append(res.Records, r)
+			}
+		}
+		if res.Switches == nil {
+			res.Switches = snk.Switches()
+		}
+		snk.Release()
+		prog.Set(int64(i + 1))
+	})
+	var mu sync.Mutex
 	runParallel(s.Cfg.Workers(), n, func(i int) {
 		sink := s.runTelemetryWindow(tcfg, res.Arms[i/tcfg.Windows].Role, i%tcfg.Windows, pool)
 		mu.Lock()
 		defer mu.Unlock()
-		parked[i], done[i] = sink, true
-		for next < n && done[next] {
-			snk := parked[next]
-			parked[next] = nil
-			arm := &res.Arms[next/tcfg.Windows]
-			w := next % tcfg.Windows
-			arm.Load = append(arm.Load, DiurnalFactor(float64(w)/float64(tcfg.Windows)))
-			var p50, p99, max float64
-			if id, ok := snk.SwitchByName(fmt.Sprintf("rsw%d", arm.Rack)); ok {
-				for _, os := range snk.Occ {
-					if os.Switch == id {
-						p50, p99, max, scratch = telemetry.OccQuantiles(os, tcfg.BufBytes, scratch)
-						break
-					}
-				}
-			}
-			arm.OccP50 = append(arm.OccP50, p50)
-			arm.OccP99 = append(arm.OccP99, p99)
-			arm.OccMax = append(arm.OccMax, max)
-			arm.Agg.Merge(&snk.Agg)
-			telemetry.Hotspots(snk, byPort)
-			for _, r := range snk.Records {
-				if len(res.Records) < telemetryMaxRecords {
-					res.Records = append(res.Records, r)
-				}
-			}
-			if res.Switches == nil {
-				res.Switches = snk.Switches()
-			}
-			snk.Release()
-			next++
-			prog.Set(int64(next))
-		}
+		front.park(i, sink)
 	})
 	for i := range res.Arms {
 		res.Agg.Merge(&res.Arms[i].Agg)

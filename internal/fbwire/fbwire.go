@@ -1,36 +1,41 @@
 // Package fbwire is the binary stream protocol between distributed fleet
 // agents and the fbflowd aggregator — the Scribe leg of the paper's
-// Fbflow pipeline (§3.3.1), reduced to what the reproduction needs: a
-// handshake, then length-prefixed partial frames in task order.
+// Fbflow pipeline (§3.3.1): after a handshake, one stream of cells in
+// task order, each cell one frame.
 //
 // A session over one connection looks like:
 //
-//	agent → HELLO   (agent identity, shard range, incarnation, config check)
+//	agent → HELLO   (protocol version, agent identity, shard range,
+//	                 incarnation, config check)
 //	agent ← WELCOME (resume task index — 0 for a fresh run, later after a
 //	                 crash: the aggregator skips the died window's tail)
-//	agent → PARTIAL × n  (seq, window, shard, fbflow.Partial payload)
-//	agent → FIN     (frames sent, for accounting)
+//	agent → CELL × n (one (window, shard) cell each, in task order)
+//	agent → FIN     (cells sent, plus the agent's optional obs report)
 //
-// When observability is on, each PARTIAL is preceded by an OBS frame
-// carrying that cell's metric delta (bound to the same seq), and one
-// final OBS frame with the agent's report precedes FIN. OBS frames are
-// optional and opaque at this layer — an aggregator that cannot decode
-// one drops it without touching the dataset protocol. With the
-// determinism flight recorder on, one AUDIT frame per checkpoint stage
-// (two in matrix mode) precedes each PARTIAL under the same seq and the
-// same best-effort rules: a dropped AUDIT frame becomes an explicit
-// ledger hole, never a dataset error.
+// A CELL payload is one cell's whole output:
 //
-// PARTIAL frames carry the agent-local task sequence number and the
-// Reader enforces strict monotonicity, so a duplicated or replayed frame
-// fails in the decoder itself rather than corrupting aggregation state.
-// Every length and count is bounds-checked against hard caps: corrupt
-// input errors, it never panics and never drives an unbounded read.
+//	seq u64 | window u32 | shard u32 | sections u8
+//	[obs section:   len u32 | internal/obs delta]       if sections&1
+//	[audit section: len u32 | 1–2 × (stage u8, sum u64, count i64)] if sections&2
+//	fbflow.Partial wire bytes
+//
+// The partial is strict and the sections are best-effort. This layer
+// validates the framing — the section flags and lengths — so a bad
+// length fails the frame. A section body that parses badly is the
+// caller's to drop: the aggregator counts it and still merges the cell,
+// whose checkpoints then become an explicit ledger hole.
+//
+// CELL frames carry the agent-local task sequence number and the Reader
+// enforces strict monotonicity, so a duplicated or replayed frame fails
+// in the decoder itself rather than corrupting aggregation state. Every
+// length and count is bounds-checked against hard caps: corrupt input
+// errors, it never panics and never drives an unbounded read.
 //
 // The codec is allocation-free in the steady state: Writer encodes into
-// one reusable buffer, Reader decodes frames into another, and the
-// Partial payload codec (fbflow.AppendBinary/DecodeBinary) reuses table
-// capacity across frames.
+// one reusable buffer, Reader decodes frames into another, sections
+// alias the frame payload, and the Partial payload codec
+// (fbflow.AppendBinary/DecodeBinary) reuses table capacity across
+// frames.
 package fbwire
 
 import (
@@ -43,30 +48,21 @@ import (
 )
 
 // Version identifies the protocol revision carried in HELLO.
-const Version = 1
+const Version = 2
 
 // Frame types.
 const (
 	TypeHello   = 0x01
 	TypeWelcome = 0x02
-	TypePartial = 0x03
+	TypeCell    = 0x03
 	TypeFin     = 0x04
-	TypeObs     = 0x05
-	TypeAudit   = 0x06
 )
 
-// Obs payload kinds. ObsCell carries one cell's metric delta and
-// precedes the PARTIAL frame with the same seq on the wire, so the delta
-// is always parked by the time the merge frontier consumes the cell.
-// ObsFinal carries the agent's once-per-incarnation report, sent right
-// before FIN (its seq is 0).
+// CELL section flags.
 const (
-	ObsCell  = 0x01
-	ObsFinal = 0x02
+	sectionObs   = 1 << 0
+	sectionAudit = 1 << 1
 )
-
-// obsHeaderLen is the OBS payload prefix before the opaque obs body.
-const obsHeaderLen = 1 + 8
 
 // MaxFrameBytes caps one frame's payload: larger than any real window
 // partial (a full large-preset window encodes to a few MiB) but small
@@ -76,8 +72,11 @@ const MaxFrameBytes = 1 << 28
 // helloWireLen is the fixed HELLO payload size after the type byte.
 const helloWireLen = 2 + 4*5 + 8
 
-// partialHeaderLen is the PARTIAL payload prefix before the fbflow bytes.
-const partialHeaderLen = 8 + 4 + 4
+// cellHeaderLen is the CELL payload prefix before the sections.
+const cellHeaderLen = 8 + 4 + 4 + 1
+
+// finHeaderLen is the FIN payload prefix before the report.
+const finHeaderLen = 8 + 4
 
 // Hello is the agent's opening announcement.
 type Hello struct {
@@ -90,11 +89,16 @@ type Hello struct {
 	Check       uint64 // config fingerprint; both sides must agree
 }
 
-// PartialHeader addresses one PARTIAL frame's cell.
+// PartialHeader addresses one CELL frame's cell and carries its
+// best-effort sections.
 type PartialHeader struct {
 	Seq    uint64 // agent-local task index, strictly increasing
 	Window uint32
 	Shard  uint32
+	// Obs is the cell's metric delta (internal/obs wire form) and Audit
+	// its checkpoints (AppendAudit form); empty means absent. On decode
+	// both alias the frame payload.
+	Obs, Audit []byte
 }
 
 // Writer frames and writes the agent side of the protocol. Not safe for
@@ -154,114 +158,93 @@ func (w *Writer) WriteWelcome(resume uint64) error {
 	return w.flushFrame()
 }
 
-// WritePartial sends one cell's partial. The encode reuses the writer's
-// buffer, so the steady state allocates nothing.
+// WritePartial sends one CELL frame: h's cell and sections, then the
+// partial. The encode reuses the writer's buffer, so the steady state
+// allocates nothing.
 func (w *Writer) WritePartial(h PartialHeader, p *fbflow.Partial) error {
-	b := w.begin(TypePartial)
+	b := w.begin(TypeCell)
 	b = binary.LittleEndian.AppendUint64(b, h.Seq)
 	b = binary.LittleEndian.AppendUint32(b, h.Window)
 	b = binary.LittleEndian.AppendUint32(b, h.Shard)
+	var sections byte
+	if len(h.Obs) > 0 {
+		sections |= sectionObs
+	}
+	if len(h.Audit) > 0 {
+		sections |= sectionAudit
+	}
+	b = append(b, sections)
+	for _, sec := range [...][]byte{h.Obs, h.Audit} {
+		if len(sec) > 0 {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(sec)))
+			b = append(b, sec...)
+		}
+	}
 	w.buf = p.AppendBinary(b)
 	return w.flushFrame()
 }
 
-// WriteObs sends one observability frame: an ObsCell delta bound to the
-// PARTIAL seq it precedes, or an ObsFinal agent report. The body is the
-// internal/obs wire payload, opaque to this layer; the encode reuses the
-// writer's buffer, so the steady state allocates nothing.
-func (w *Writer) WriteObs(kind byte, seq uint64, body []byte) error {
-	b := w.begin(TypeObs)
-	b = append(b, kind)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	w.buf = append(b, body...)
-	return w.flushFrame()
-}
-
-// ObsHeader addresses one OBS frame's body.
-type ObsHeader struct {
-	Kind byte
-	Seq  uint64 // for ObsCell: the seq of the PARTIAL this delta belongs to
-}
-
-// ParseObs splits an OBS payload into its header and opaque body. The
-// body aliases the payload (and therefore the Reader's buffer).
-func ParseObs(payload []byte) (ObsHeader, []byte, error) {
-	if len(payload) < obsHeaderLen {
-		return ObsHeader{}, nil, fmt.Errorf("fbwire: obs frame header truncated (%d bytes)", len(payload))
-	}
-	h := ObsHeader{Kind: payload[0], Seq: binary.LittleEndian.Uint64(payload[1:])}
-	if h.Kind != ObsCell && h.Kind != ObsFinal {
-		return ObsHeader{}, nil, fmt.Errorf("fbwire: unknown obs kind %#x", h.Kind)
-	}
-	return h, payload[obsHeaderLen:], nil
-}
-
-// Audit stage ids on the wire. AuditFleetCell is the cell's collected
-// record stream; AuditMatrixSynth is the synthesized demand matrix that
-// preceded the draw (matrix mode only).
+// Audit checkpoint stages on the wire. AuditFleetCell is the cell's
+// collected record stream; AuditMatrixSynth is the synthesized demand
+// matrix that preceded the draw (matrix mode only).
 const (
 	AuditFleetCell   = 0x01
 	AuditMatrixSynth = 0x02
 )
 
-// auditWireLen is the fixed AUDIT payload size after the type byte.
-const auditWireLen = 1 + 8 + 4 + 4 + 8 + 8
+// MaxAuditCells is the most checkpoints one cell carries.
+const MaxAuditCells = 2
 
-// AuditCell is one cell's determinism checkpoint: the sealed content
-// hash and folded item count of (stage, window, shard), bound to the
-// PARTIAL seq it precedes. Like OBS frames, AUDIT frames are
-// best-effort: an aggregator that cannot decode one drops it (the cell
-// becomes an explicit ledger hole) without touching the dataset
-// protocol.
+// auditEntryLen is one checkpoint's size in an audit section.
+const auditEntryLen = 1 + 8 + 8
+
+// AuditCell is one determinism checkpoint of a cell: the sealed content
+// hash and folded item count of one stage. The cell's coordinates are
+// its CELL header's.
 type AuditCell struct {
-	Stage  byte
-	Seq    uint64
-	Window uint32
-	Shard  uint32
-	Sum    uint64
-	Count  int64
+	Stage byte
+	Sum   uint64
+	Count int64
 }
 
-// WriteAudit sends one cell checkpoint. The encode reuses the writer's
-// buffer, so the steady state allocates nothing.
-func (w *Writer) WriteAudit(c AuditCell) error {
-	b := w.begin(TypeAudit)
+// AppendAudit appends one checkpoint to an audit section body.
+func AppendAudit(b []byte, c AuditCell) []byte {
 	b = append(b, c.Stage)
-	b = binary.LittleEndian.AppendUint64(b, c.Seq)
-	b = binary.LittleEndian.AppendUint32(b, c.Window)
-	b = binary.LittleEndian.AppendUint32(b, c.Shard)
 	b = binary.LittleEndian.AppendUint64(b, c.Sum)
-	b = binary.LittleEndian.AppendUint64(b, uint64(c.Count))
-	w.buf = b
-	return w.flushFrame()
+	return binary.LittleEndian.AppendUint64(b, uint64(c.Count))
 }
 
-// ParseAudit decodes an AUDIT payload.
-func ParseAudit(payload []byte) (AuditCell, error) {
-	if len(payload) != auditWireLen {
-		return AuditCell{}, fmt.Errorf("fbwire: audit payload is %d bytes, want %d", len(payload), auditWireLen)
+// ParseAudit decodes an audit section body: 1 to MaxAuditCells
+// checkpoints, each with a known stage and a non-negative count.
+func ParseAudit(sec []byte) (cells [MaxAuditCells]AuditCell, n int, err error) {
+	n = len(sec) / auditEntryLen
+	if len(sec)%auditEntryLen != 0 || n < 1 || n > MaxAuditCells {
+		return cells, 0, fmt.Errorf("fbwire: audit section is %d bytes, want 1 to %d entries of %d", len(sec), MaxAuditCells, auditEntryLen)
 	}
-	c := AuditCell{
-		Stage:  payload[0],
-		Seq:    binary.LittleEndian.Uint64(payload[1:]),
-		Window: binary.LittleEndian.Uint32(payload[9:]),
-		Shard:  binary.LittleEndian.Uint32(payload[13:]),
-		Sum:    binary.LittleEndian.Uint64(payload[17:]),
-		Count:  int64(binary.LittleEndian.Uint64(payload[25:])),
+	for i := range cells[:n] {
+		e := sec[i*auditEntryLen:]
+		c := AuditCell{
+			Stage: e[0],
+			Sum:   binary.LittleEndian.Uint64(e[1:]),
+			Count: int64(binary.LittleEndian.Uint64(e[9:])),
+		}
+		if c.Stage != AuditFleetCell && c.Stage != AuditMatrixSynth {
+			return cells, 0, fmt.Errorf("fbwire: unknown audit stage %#x", c.Stage)
+		}
+		if c.Count < 0 {
+			return cells, 0, fmt.Errorf("fbwire: audit count %d is negative", c.Count)
+		}
+		cells[i] = c
 	}
-	if c.Stage != AuditFleetCell && c.Stage != AuditMatrixSynth {
-		return AuditCell{}, fmt.Errorf("fbwire: unknown audit stage %#x", c.Stage)
-	}
-	if c.Count < 0 {
-		return AuditCell{}, fmt.Errorf("fbwire: audit count %d is negative", c.Count)
-	}
-	return c, nil
+	return cells, n, nil
 }
 
-// WriteFin sends the closing FIN frame carrying the number of PARTIAL
-// frames this incarnation sent.
-func (w *Writer) WriteFin(sent uint64) error {
-	w.buf = binary.LittleEndian.AppendUint64(w.begin(TypeFin), sent)
+// WriteFin sends the closing FIN frame: the number of CELL frames this
+// incarnation sent, then its obs report (empty when metrics are off).
+func (w *Writer) WriteFin(sent uint64, report []byte) error {
+	b := binary.LittleEndian.AppendUint64(w.begin(TypeFin), sent)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(report)))
+	w.buf = append(b, report...)
 	return w.flushFrame()
 }
 
@@ -280,7 +263,7 @@ type Reader struct {
 	pfx     [4]byte // length-prefix scratch; a field so ReadFull doesn't heap-escape it
 	read    int64
 	seenSeq bool
-	lastSeq uint64 // last PARTIAL seq, valid when seenSeq
+	lastSeq uint64 // last CELL seq, valid when seenSeq
 }
 
 // NewReader returns a Reader framing off r.
@@ -323,17 +306,17 @@ func (r *Reader) Next() (Frame, error) {
 	r.read += int64(4 + n)
 	f := Frame{Type: r.buf[0], Payload: r.buf[1:]}
 	switch f.Type {
-	case TypeHello, TypeWelcome, TypePartial, TypeFin, TypeObs, TypeAudit:
+	case TypeHello, TypeWelcome, TypeCell, TypeFin:
 	default:
 		return Frame{}, fmt.Errorf("fbwire: unknown frame type %#x", f.Type)
 	}
-	if f.Type == TypePartial {
-		if len(f.Payload) < partialHeaderLen {
-			return Frame{}, fmt.Errorf("fbwire: partial frame header truncated (%d bytes)", len(f.Payload))
+	if f.Type == TypeCell {
+		if len(f.Payload) < cellHeaderLen {
+			return Frame{}, fmt.Errorf("fbwire: cell frame header truncated (%d bytes)", len(f.Payload))
 		}
 		seq := binary.LittleEndian.Uint64(f.Payload)
 		if r.seenSeq && seq <= r.lastSeq {
-			return Frame{}, fmt.Errorf("fbwire: partial frame seq %d duplicates or reorders (last %d)", seq, r.lastSeq)
+			return Frame{}, fmt.Errorf("fbwire: cell frame seq %d duplicates or reorders (last %d)", seq, r.lastSeq)
 		}
 		r.seenSeq, r.lastSeq = true, seq
 	}
@@ -371,27 +354,59 @@ func ParseWelcome(payload []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// ParseFin decodes a FIN payload.
-func ParseFin(payload []byte) (uint64, error) {
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("fbwire: fin payload is %d bytes, want 8", len(payload))
+// ParseFin decodes a FIN payload. The report aliases the payload.
+func ParseFin(payload []byte) (sent uint64, report []byte, err error) {
+	if len(payload) < finHeaderLen {
+		return 0, nil, fmt.Errorf("fbwire: fin payload is %d bytes, want at least %d", len(payload), finHeaderLen)
 	}
-	return binary.LittleEndian.Uint64(payload), nil
+	if n := binary.LittleEndian.Uint32(payload[8:]); uint64(n) != uint64(len(payload)-finHeaderLen) {
+		return 0, nil, fmt.Errorf("fbwire: fin report length %d, payload carries %d", n, len(payload)-finHeaderLen)
+	}
+	return binary.LittleEndian.Uint64(payload), payload[finHeaderLen:], nil
 }
 
-// DecodePartial decodes a PARTIAL payload's header and body into a
-// reusable Partial. The payload must come from a Frame of TypePartial.
+// DecodePartial decodes a CELL payload: its header and section bounds,
+// then the partial into a reusable Partial. The payload must come from a
+// Frame of TypeCell. Section bodies are returned unparsed.
 func DecodePartial(payload []byte, into *fbflow.Partial) (PartialHeader, error) {
-	if len(payload) < partialHeaderLen {
-		return PartialHeader{}, fmt.Errorf("fbwire: partial frame header truncated (%d bytes)", len(payload))
+	if len(payload) < cellHeaderLen {
+		return PartialHeader{}, fmt.Errorf("fbwire: cell frame header truncated (%d bytes)", len(payload))
 	}
 	h := PartialHeader{
 		Seq:    binary.LittleEndian.Uint64(payload),
 		Window: binary.LittleEndian.Uint32(payload[8:]),
 		Shard:  binary.LittleEndian.Uint32(payload[12:]),
 	}
-	if err := into.DecodeBinary(payload[partialHeaderLen:]); err != nil {
+	sections := payload[16]
+	if sections&^(sectionObs|sectionAudit) != 0 {
+		return PartialHeader{}, fmt.Errorf("fbwire: unknown cell section flags %#x", sections)
+	}
+	rest := payload[cellHeaderLen:]
+	var err error
+	if sections&sectionObs != 0 {
+		if h.Obs, rest, err = cutSection(rest, "obs"); err != nil {
+			return PartialHeader{}, err
+		}
+	}
+	if sections&sectionAudit != 0 {
+		if h.Audit, rest, err = cutSection(rest, "audit"); err != nil {
+			return PartialHeader{}, err
+		}
+	}
+	if err := into.DecodeBinary(rest); err != nil {
 		return PartialHeader{}, err
 	}
 	return h, nil
+}
+
+// cutSection splits one length-prefixed, non-empty section off b.
+func cutSection(b []byte, name string) (sec, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("fbwire: %s section length truncated", name)
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n == 0 || uint64(n) > uint64(len(b)-4) {
+		return nil, nil, fmt.Errorf("fbwire: %s section length %d, %d bytes left", name, n, len(b)-4)
+	}
+	return b[4 : 4+n], b[4+n:], nil
 }

@@ -30,7 +30,7 @@ func fillPartial(tb testing.TB, p *fbflow.Partial, seed uint64, n int) {
 	}
 }
 
-// sessionBytes encodes a full agent session: HELLO, n PARTIAL frames, FIN.
+// sessionBytes encodes a full agent session: HELLO, n CELL frames, FIN.
 func sessionBytes(tb testing.TB, n int, card bool) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -50,7 +50,7 @@ func sessionBytes(tb testing.TB, n int, card bool) []byte {
 			tb.Fatal(err)
 		}
 	}
-	if err := w.WriteFin(uint64(n)); err != nil {
+	if err := w.WriteFin(uint64(n), nil); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -77,7 +77,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	want.EnableCardinality()
 	for i := 0; i < 6; i++ {
 		f, err := r.Next()
-		if err != nil || f.Type != TypePartial {
+		if err != nil || f.Type != TypeCell {
 			t.Fatalf("partial %d: type %#x err %v", i, f.Type, err)
 		}
 		ph, err := DecodePartial(f.Payload, into)
@@ -100,9 +100,9 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err != nil || f.Type != TypeFin {
 		t.Fatalf("fin frame: type %#x err %v", f.Type, err)
 	}
-	sent, err := ParseFin(f.Payload)
-	if err != nil || sent != 6 {
-		t.Fatalf("fin: sent %d err %v", sent, err)
+	sent, report, err := ParseFin(f.Payload)
+	if err != nil || sent != 6 || len(report) != 0 {
+		t.Fatalf("fin: sent %d report %d bytes err %v", sent, len(report), err)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("expected clean EOF, got %v", err)
@@ -213,7 +213,7 @@ func TestReaderErrors(t *testing.T) {
 	if _, err := ParseWelcome(make([]byte, 4)); err == nil {
 		t.Fatal("short welcome parsed cleanly")
 	}
-	if _, err := ParseFin(make([]byte, 9)); err == nil {
+	if _, _, err := ParseFin(make([]byte, 9)); err == nil {
 		t.Fatal("long fin parsed cleanly")
 	}
 	// Version and shard-range validation in HELLO.
@@ -295,70 +295,143 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestAuditRoundTrip round-trips a CELL carrying both sections and
+// checks that malformed audit sections fail closed.
 func TestAuditRoundTrip(t *testing.T) {
+	p := fbflow.NewPartial()
+	fillPartial(t, p, 5, 64)
+	cells := []AuditCell{
+		{Stage: AuditMatrixSynth, Sum: 0xfeedfacecafebeef, Count: 64},
+		{Stage: AuditFleetCell, Sum: 0x0123456789abcdef, Count: 6 * 1200},
+	}
+	var sec []byte
+	for _, c := range cells {
+		sec = AppendAudit(sec, c)
+	}
+	delta := []byte{1, 2, 3}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	cells := []AuditCell{
-		{Stage: AuditMatrixSynth, Seq: 0, Window: 0, Shard: 3, Sum: 0xfeedfacecafebeef, Count: 64},
-		{Stage: AuditFleetCell, Seq: 0, Window: 0, Shard: 3, Sum: 0x0123456789abcdef, Count: 6 * 1200},
-		{Stage: AuditFleetCell, Seq: 1, Window: 1, Shard: 0, Sum: 0, Count: 0},
-	}
-	for _, c := range cells {
-		if err := w.WriteAudit(c); err != nil {
+	for seq, hdr := range []PartialHeader{
+		{Seq: 0, Window: 0, Shard: 3, Obs: delta, Audit: sec},
+		{Seq: 1, Window: 1, Shard: 0, Audit: sec[:auditEntryLen]},
+		{Seq: 2, Window: 1, Shard: 1},
+	} {
+		if err := w.WritePartial(hdr, p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	r := NewReader(&buf)
-	for i, want := range cells {
-		f, err := r.Next()
-		if err != nil || f.Type != TypeAudit {
-			t.Fatalf("audit frame %d: type %#x err %v", i, f.Type, err)
+		f, err := NewReader(&buf).Next()
+		if err != nil || f.Type != TypeCell {
+			t.Fatalf("cell %d: type %#x err %v", seq, f.Type, err)
 		}
-		got, err := ParseAudit(f.Payload)
+		into := fbflow.NewPartial()
+		got, err := DecodePartial(f.Payload, into)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("audit %d round-trip: got %+v want %+v", i, got, want)
+		if got.Seq != hdr.Seq || got.Window != hdr.Window || got.Shard != hdr.Shard ||
+			!bytes.Equal(got.Obs, hdr.Obs) || !bytes.Equal(got.Audit, hdr.Audit) {
+			t.Fatalf("cell %d header round-trip: got %+v want %+v", seq, got, hdr)
+		}
+		if !bytes.Equal(into.AppendBinary(nil), p.AppendBinary(nil)) {
+			t.Fatalf("cell %d partial changed across the wire", seq)
+		}
+		if len(got.Audit) == 0 {
+			continue
+		}
+		parsed, n, err := ParseAudit(got.Audit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range cells[:len(got.Audit)/auditEntryLen] {
+			if i >= n || parsed[i] != want {
+				t.Fatalf("cell %d checkpoint %d: got %+v want %+v", seq, i, parsed[i], want)
+			}
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected clean EOF, got %v", err)
-	}
 
-	// Malformed payloads must fail closed.
-	if _, err := ParseAudit(make([]byte, auditWireLen-1)); err == nil {
-		t.Fatal("short audit payload parsed cleanly")
+	// Malformed sections must fail closed.
+	if _, _, err := ParseAudit(sec[:auditEntryLen-1]); err == nil {
+		t.Fatal("short audit section parsed cleanly")
 	}
-	bad := make([]byte, auditWireLen)
+	if _, _, err := ParseAudit(append(append([]byte{}, sec...), sec[:auditEntryLen]...)); err == nil {
+		t.Fatal("audit section with too many checkpoints parsed cleanly")
+	}
+	bad := append([]byte{}, sec[:auditEntryLen]...)
 	bad[0] = 0x7f
-	if _, err := ParseAudit(bad); err == nil {
+	if _, _, err := ParseAudit(bad); err == nil {
 		t.Fatal("unknown audit stage parsed cleanly")
 	}
-	neg := make([]byte, auditWireLen)
-	neg[0] = AuditFleetCell
-	for i := 25; i < 33; i++ {
+	neg := append([]byte{}, sec[:auditEntryLen]...)
+	for i := 9; i < 17; i++ {
 		neg[i] = 0xff
 	}
-	if _, err := ParseAudit(neg); err == nil {
+	if _, _, err := ParseAudit(neg); err == nil {
 		t.Fatal("negative audit count parsed cleanly")
+	}
+	// A section length that overruns the payload fails the whole frame.
+	buf.Reset()
+	if err := w.WritePartial(PartialHeader{Seq: 9, Obs: delta}, p); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewReader(&buf).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Payload[cellHeaderLen] = 0xff
+	if _, err := DecodePartial(f.Payload, fbflow.NewPartial()); err == nil {
+		t.Fatal("overrunning section length decoded cleanly")
 	}
 }
 
-// TestAuditSteadyStateAllocs pins the audit frame encode at zero
-// steady-state allocations — the checkpoint side-channel must not tax
-// the dataset path it rides beside.
+// TestAuditSteadyStateAllocs pins a CELL carrying both sections at zero
+// steady-state allocations to write and to decode — the best-effort
+// sections must not tax the dataset path they ride on.
 func TestAuditSteadyStateAllocs(t *testing.T) {
+	p := fbflow.NewPartial()
+	fillPartial(t, p, 7, 256)
+	var sec []byte
+	sec = AppendAudit(sec, AuditCell{Stage: AuditMatrixSynth, Sum: 41, Count: 3})
+	sec = AppendAudit(sec, AuditCell{Stage: AuditFleetCell, Sum: 42, Count: 6})
+	hdr := PartialHeader{Seq: 7, Window: 1, Shard: 2, Obs: []byte{1, 2, 3, 4}}
 	w := NewWriter(&countWriter{})
-	c := AuditCell{Stage: AuditFleetCell, Seq: 7, Window: 1, Shard: 2, Sum: 42, Count: 6}
 	write := func() {
-		if err := w.WriteAudit(c); err != nil {
+		hdr.Audit = AppendAudit(sec[:0], AuditCell{Stage: AuditMatrixSynth, Sum: 41, Count: 3})
+		hdr.Audit = AppendAudit(hdr.Audit, AuditCell{Stage: AuditFleetCell, Sum: 42, Count: 6})
+		if err := w.WritePartial(hdr, p); err != nil {
 			t.Fatal(err)
 		}
-		c.Seq++
+		hdr.Seq++
 	}
 	write() // warm the encode buffer
 	if n := testing.AllocsPerRun(50, write); n != 0 {
-		t.Fatalf("steady-state audit encode allocates %v/op", n)
+		t.Fatalf("steady-state cell encode with sections allocates %v/op", n)
+	}
+
+	var one bytes.Buffer
+	if err := NewWriter(&one).WritePartial(hdr, p); err != nil {
+		t.Fatal(err)
+	}
+	frame := one.Bytes()
+	src := bytes.NewReader(frame)
+	r := NewReader(src)
+	into := fbflow.NewPartial()
+	read := func() {
+		src.Reset(frame)
+		r.seenSeq = false // replaying the same seq on purpose
+		f, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := DecodePartial(f.Payload, into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, n, err := ParseAudit(h.Audit); err != nil || n != 2 || len(h.Obs) != 4 {
+			t.Fatalf("sections lost: %d checkpoints, %d obs bytes, err %v", n, len(h.Obs), err)
+		}
+	}
+	read() // warm the frame buffer and into's tables
+	if n := testing.AllocsPerRun(50, read); n != 0 {
+		t.Fatalf("steady-state cell decode with sections allocates %v/op", n)
 	}
 }

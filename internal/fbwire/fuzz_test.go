@@ -15,7 +15,7 @@ import (
 // bytes. The invariants: never panic, never over-read (every frame's
 // declared length is capped and bounds-checked), terminate with io.EOF
 // only at a clean frame boundary, and reject duplicate or reordered
-// PARTIAL sequence numbers.
+// CELL sequence numbers.
 func FuzzFrameDecode(f *testing.F) {
 	// A full valid session (hello, partials with cardinality, fin).
 	f.Add(sessionBytes(f, 3, true))
@@ -26,17 +26,18 @@ func FuzzFrameDecode(f *testing.F) {
 	// Truncated mid-frame.
 	f.Add(one[:len(one)/2])
 	// Corrupt length prefix claiming 4 GiB.
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, TypePartial})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, TypeCell})
 	// Empty frame and unknown type.
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 0x7f})
-	// A partial frame whose payload is garbage after a valid header.
+	// A cell frame whose payload is garbage after a valid header.
 	bad := make([]byte, 0, 64)
-	bad = binary.LittleEndian.AppendUint32(bad, 1+partialHeaderLen+8)
-	bad = append(bad, TypePartial)
+	bad = binary.LittleEndian.AppendUint32(bad, 1+cellHeaderLen+8)
+	bad = append(bad, TypeCell)
 	bad = binary.LittleEndian.AppendUint64(bad, 0) // seq
 	bad = binary.LittleEndian.AppendUint32(bad, 0) // window
 	bad = binary.LittleEndian.AppendUint32(bad, 0) // shard
+	bad = append(bad, 0)                           // no sections
 	bad = append(bad, 99, 0xff, 1, 2, 3, 4, 5, 6)  // bogus partial payload
 	f.Add(bad)
 
@@ -65,8 +66,8 @@ func FuzzFrameDecode(f *testing.F) {
 			case TypeWelcome:
 				_, _ = ParseWelcome(fr.Payload)
 			case TypeFin:
-				_, _ = ParseFin(fr.Payload)
-			case TypePartial:
+				_, _, _ = ParseFin(fr.Payload)
+			case TypeCell:
 				h, err := DecodePartial(fr.Payload, into)
 				if err == nil {
 					if seenSeq && h.Seq <= lastSeq {
@@ -85,22 +86,74 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// obsFrameBytes frames one OBS frame (kind, seq, body) as the agent's
-// Writer would emit it.
-func obsFrameBytes(tb testing.TB, kind byte, seq uint64, body []byte) []byte {
+// cellFrameBytes frames one CELL frame with the given sections and an
+// empty partial, as the agent's Writer emits it.
+func cellFrameBytes(tb testing.TB, seq uint64, obsSec, auditSec []byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteObs(kind, seq, body); err != nil {
+	if err := w.WritePartial(PartialHeader{Seq: seq, Window: 0, Shard: 1, Obs: obsSec, Audit: auditSec}, fbflow.NewPartial()); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzObsFrame drives the metrics side-channel decode path — OBS frame
-// parsing plus the obs delta and agent-report payload codecs — with
+// finFrameBytes frames one FIN frame carrying report.
+func finFrameBytes(tb testing.TB, report []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteFin(1, report); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// walkSections reads frames from data until the first error, checking
+// that decoded CELL frames keep strictly increasing sequence numbers
+// whatever their sections hold. It hands each decoded CELL header to
+// cell and each parsed FIN report to fin.
+func walkSections(t *testing.T, data []byte, cell func(PartialHeader), fin func([]byte)) {
+	r := NewReader(bytes.NewReader(data))
+	into := fbflow.NewPartial()
+	frames := 0
+	var lastSeq uint64
+	seenSeq := false
+	for {
+		fr, err := r.Next()
+		if err != nil {
+			return
+		}
+		switch fr.Type {
+		case TypeCell:
+			h, err := DecodePartial(fr.Payload, into)
+			if err != nil {
+				break
+			}
+			if seenSeq && h.Seq <= lastSeq {
+				t.Fatalf("sections perturbed cell seq: %d after %d", h.Seq, lastSeq)
+			}
+			seenSeq, lastSeq = true, h.Seq
+			cell(h)
+		case TypeFin:
+			if _, report, err := ParseFin(fr.Payload); err == nil {
+				fin(report)
+			}
+		case TypeHello, TypeWelcome:
+		default:
+			t.Fatalf("reader returned unknown frame type %#x", fr.Type)
+		}
+		frames++
+		if frames > 1<<20 {
+			t.Fatal("reader produced implausibly many frames")
+		}
+	}
+}
+
+// FuzzObsFrame drives the metrics decode path — the CELL obs section
+// (obs delta codec and fold) and the FIN agent report codec — with
 // arbitrary bytes. The invariants: never panic, malformed payloads
-// error out, and OBS frames never perturb the PARTIAL sequence check
+// error out (the aggregator drops the section and still merges the
+// cell), and obs sections never perturb the strict CELL sequence check
 // (metrics are best-effort; the dataset protocol stays strict).
 func FuzzObsFrame(f *testing.F) {
 	// A real cell delta: encode from a live shard.
@@ -110,143 +163,81 @@ func FuzzObsFrame(f *testing.F) {
 	sh := reg.NewShard()
 	sh.Add(c, 41)
 	sh.Observe(h, 1300)
-	f.Add(obsFrameBytes(f, ObsCell, 0, sh.AppendDelta(nil)))
+	delta := sh.AppendDelta(nil)
+	f.Add(cellFrameBytes(f, 0, delta, nil))
 	// A real final report.
-	f.Add(obsFrameBytes(f, ObsFinal, 0, reg.AppendReport(nil, 2, 1)))
-	// An OBS frame interleaved before its PARTIAL, as on the real wire.
-	mixed := append(obsFrameBytes(f, ObsCell, 0, sh.AppendDelta(nil)), sessionBytes(f, 1, false)...)
-	f.Add(mixed)
-	// Truncated, bad kind, garbage body.
-	whole := obsFrameBytes(f, ObsCell, 3, sh.AppendDelta(nil))
+	f.Add(finFrameBytes(f, reg.AppendReport(nil, 2, 1)))
+	// An obs-bearing cell ahead of a session, as on the real wire.
+	f.Add(append(cellFrameBytes(f, 0, delta, nil), sessionBytes(f, 1, false)...))
+	// Truncated, unknown section flag, garbage body, short report.
+	whole := cellFrameBytes(f, 3, delta, nil)
 	f.Add(whole[:len(whole)-4])
-	f.Add(obsFrameBytes(f, 0x7e, 9, []byte{1, 2, 3}))
-	f.Add(obsFrameBytes(f, ObsCell, 1, []byte{0xde, 0xad, 0xbe, 0xef}))
-	f.Add(obsFrameBytes(f, ObsFinal, 0, []byte{1}))
+	flags := cellFrameBytes(f, 9, nil, nil)
+	flags[4+1+cellHeaderLen-1] = 0x80
+	f.Add(flags)
+	f.Add(cellFrameBytes(f, 1, []byte{0xde, 0xad, 0xbe, 0xef}, nil))
+	f.Add(finFrameBytes(f, []byte{1}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
 		var d obs.Delta
 		var rep obs.AgentReport
 		fold := obs.NewRegistry()
-		frames := 0
-		var lastSeq uint64
-		seenSeq := false
-		for {
-			fr, err := r.Next()
-			if err != nil {
-				return
+		walkSections(t, data, func(h PartialHeader) {
+			// Both payload decoders must fail closed on garbage; a
+			// successful delta decode must fold without panicking.
+			if len(h.Obs) > 0 && d.Decode(h.Obs) == nil {
+				fold.FoldDelta(&d)
 			}
-			switch fr.Type {
-			case TypeObs:
-				oh, body, err := ParseObs(fr.Payload)
-				if err != nil {
-					break
-				}
-				if oh.Kind != ObsCell && oh.Kind != ObsFinal {
-					t.Fatalf("ParseObs admitted kind %#x", oh.Kind)
-				}
-				// Both payload decoders must fail closed on garbage; a
-				// successful delta decode must fold without panicking.
-				if oh.Kind == ObsCell {
-					if err := d.Decode(body); err == nil {
-						fold.FoldDelta(&d)
-					}
-				} else {
-					_ = obs.DecodeReport(body, &rep)
-				}
-			case TypePartial:
-				if h, err := DecodePartial(fr.Payload, fbflow.NewPartial()); err == nil {
-					// OBS frames between partials must not reset or advance
-					// the strict seq ordering of the dataset stream.
-					if seenSeq && h.Seq <= lastSeq {
-						t.Fatalf("obs frames perturbed partial seq: %d after %d", h.Seq, lastSeq)
-					}
-					seenSeq, lastSeq = true, h.Seq
-				}
-			case TypeHello, TypeWelcome, TypeFin:
-			default:
-				t.Fatalf("reader returned unknown frame type %#x", fr.Type)
+		}, func(report []byte) {
+			if len(report) > 0 {
+				_ = obs.DecodeReport(report, &rep)
 			}
-			frames++
-			if frames > 1<<20 {
-				t.Fatal("reader produced implausibly many frames")
-			}
-		}
+		})
 	})
 }
 
-// auditFrameBytes frames one AUDIT frame as the agent's Writer emits it.
-func auditFrameBytes(tb testing.TB, c AuditCell) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteAudit(c); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzAuditFrame drives the checkpoint side-channel decode path with
-// arbitrary bytes. The invariants: never panic, malformed payloads error
-// out (best-effort semantics — a dropped frame becomes a ledger hole,
-// never a dataset error), parsed cells echo valid stage ids and
-// non-negative counts, and AUDIT frames never perturb the strict PARTIAL
+// FuzzAuditFrame drives the checkpoint decode path — the CELL audit
+// section parser — with arbitrary bytes. The invariants: never panic,
+// malformed sections error out (best-effort semantics — a dropped
+// section becomes a ledger hole, never a dataset error), parsed
+// checkpoints carry 1 to MaxAuditCells entries with valid stage ids and
+// non-negative counts, and audit sections never perturb the strict CELL
 // sequence check.
 func FuzzAuditFrame(f *testing.F) {
-	// A realistic cell pair: matrix synth then fleet cell under one seq.
-	f.Add(append(
-		auditFrameBytes(f, AuditCell{Stage: AuditMatrixSynth, Seq: 0, Window: 0, Shard: 1, Sum: 0xabcdef, Count: 128}),
-		auditFrameBytes(f, AuditCell{Stage: AuditFleetCell, Seq: 0, Window: 0, Shard: 1, Sum: 0x123456, Count: 7200})...))
-	// AUDIT interleaved before its PARTIAL, as on the real wire.
-	f.Add(append(
-		auditFrameBytes(f, AuditCell{Stage: AuditFleetCell, Seq: 0, Window: 0, Shard: 0, Sum: 1, Count: 6}),
-		sessionBytes(f, 1, false)...))
-	// Truncated, bogus stage, negative count.
-	whole := auditFrameBytes(f, AuditCell{Stage: AuditFleetCell, Seq: 3, Window: 1, Shard: 2, Sum: 9, Count: 12})
+	// A realistic cell pair: matrix synth then fleet cell in one section.
+	pair := AppendAudit(nil, AuditCell{Stage: AuditMatrixSynth, Sum: 0xabcdef, Count: 128})
+	pair = AppendAudit(pair, AuditCell{Stage: AuditFleetCell, Sum: 0x123456, Count: 7200})
+	f.Add(cellFrameBytes(f, 0, nil, pair))
+	// An audit-bearing cell ahead of a session, as on the real wire.
+	one := AppendAudit(nil, AuditCell{Stage: AuditFleetCell, Sum: 1, Count: 6})
+	f.Add(append(cellFrameBytes(f, 0, nil, one), sessionBytes(f, 1, false)...))
+	// Truncated, bogus stage.
+	whole := cellFrameBytes(f, 3, nil, AppendAudit(nil, AuditCell{Stage: AuditFleetCell, Sum: 9, Count: 12}))
 	f.Add(whole[:len(whole)-5])
-	bogus := append([]byte{}, whole...)
-	bogus[5] = 0x7f // stage byte inside the frame
-	f.Add(bogus)
+	bogus := append([]byte{}, one...)
+	bogus[0] = 0x7f
+	f.Add(cellFrameBytes(f, 3, nil, bogus))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		frames := 0
-		var lastSeq uint64
-		seenSeq := false
-		for {
-			fr, err := r.Next()
+		walkSections(t, data, func(h PartialHeader) {
+			if len(h.Audit) == 0 {
+				return
+			}
+			cells, n, err := ParseAudit(h.Audit)
 			if err != nil {
 				return
 			}
-			switch fr.Type {
-			case TypeAudit:
-				c, err := ParseAudit(fr.Payload)
-				if err != nil {
-					break
-				}
+			if n < 1 || n > MaxAuditCells {
+				t.Fatalf("ParseAudit admitted %d checkpoints", n)
+			}
+			for _, c := range cells[:n] {
 				if c.Stage != AuditFleetCell && c.Stage != AuditMatrixSynth {
 					t.Fatalf("ParseAudit admitted stage %#x", c.Stage)
 				}
 				if c.Count < 0 {
 					t.Fatalf("ParseAudit admitted negative count %d", c.Count)
 				}
-			case TypePartial:
-				if h, err := DecodePartial(fr.Payload, fbflow.NewPartial()); err == nil {
-					// AUDIT frames between partials must not reset or advance
-					// the strict seq ordering of the dataset stream.
-					if seenSeq && h.Seq <= lastSeq {
-						t.Fatalf("audit frames perturbed partial seq: %d after %d", h.Seq, lastSeq)
-					}
-					seenSeq, lastSeq = true, h.Seq
-				}
-			case TypeHello, TypeWelcome, TypeFin, TypeObs:
-			default:
-				t.Fatalf("reader returned unknown frame type %#x", fr.Type)
 			}
-			frames++
-			if frames > 1<<20 {
-				t.Fatal("reader produced implausibly many frames")
-			}
-		}
+		}, func([]byte) {})
 	})
 }

@@ -236,8 +236,8 @@ func (r *Recorder) Perturb(window, shard int) {
 }
 
 // Append records one checkpoint, applying any planted perturbation.
-// This is the single write path: Record, Cell, and Hole all land here,
-// as do the aggregator's park-and-fold appends in distributed runs.
+// This is the single write path: Record and Hole land here, as do the
+// merge frontier's appends of each consumed cell's checkpoints.
 func (r *Recorder) Append(cp Checkpoint) {
 	if r == nil {
 		return
@@ -258,24 +258,6 @@ func (r *Recorder) Record(stage string, window, shard int, h *Hash) {
 		return
 	}
 	r.Append(Checkpoint{Stage: stage, Window: window, Shard: shard, Sum: h.Sum(), Count: h.Count()})
-}
-
-// Cell is Record for distributed agents: it returns the checkpoint as
-// appended (perturbation applied) so the agent forwards on the wire
-// exactly what it logged. ok is false on a nil recorder.
-func (r *Recorder) Cell(stage string, window, shard int, h *Hash) (cp Checkpoint, ok bool) {
-	if r == nil {
-		return Checkpoint{}, false
-	}
-	cp = Checkpoint{Stage: stage, Window: window, Shard: shard, Sum: h.Sum(), Count: h.Count()}
-	r.mu.Lock()
-	if r.perturb && cp.Stage == StageFleetCollect &&
-		cp.Window == r.perturbW && cp.Shard == r.perturbS {
-		cp.Sum ^= perturbMask
-	}
-	r.cps = append(r.cps, cp)
-	r.mu.Unlock()
-	return cp, true
 }
 
 // RecordOutput hashes a stage's rendered canonical output (one string

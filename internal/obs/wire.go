@@ -7,21 +7,21 @@ import (
 	"math/bits"
 )
 
-// Wire form of the observability layer — the payload carried in
-// fbwire.TypeObs frames between distributed fleet agents and the
-// aggregator. Two payload shapes exist:
+// Wire form of the observability layer — the payloads distributed fleet
+// agents send the aggregator inside fbwire frames. Two shapes exist:
 //
 //   - Delta: the counter and histogram increments of exactly one
 //     (window, shard) cell, encoded straight out of the agent's
-//     worker-local Shard before it folds. The aggregator parks the delta
-//     next to the cell's fbflow.Partial and folds it into its own
-//     registry only when the task-order merge frontier consumes the
-//     cell, so federated counters are a pure function of the merged cell
-//     set: reproducible at any agent count, and a cell whose partial
-//     never merged (a coverage gap) contributes no metrics either.
+//     worker-local Shard before it folds and carried in the cell's CELL
+//     frame. The aggregator parks the delta next to the cell's
+//     fbflow.Partial and folds it into its own registry only when the
+//     task-order merge frontier consumes the cell, so federated counters
+//     are a pure function of the merged cell set: reproducible at any
+//     agent count, and a cell whose partial never merged (a coverage
+//     gap) contributes no metrics either.
 //
-//   - AgentReport: the per-process ephemera an agent ships once, right
-//     before FIN — gauges, labeled series, stage timing totals, and the
+//   - AgentReport: the per-process ephemera an agent ships once, on its
+//     FIN frame — gauges, labeled series, stage timing totals, and the
 //     span event ledger that the unified run timeline (obs/export) lays
 //     onto the shared clock. Reports describe processes, not cells; they
 //     are never folded into federated counters.
