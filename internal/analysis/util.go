@@ -23,20 +23,23 @@ func Utilization(ds *fbflow.Dataset, topo *topology.Topology, durSec float64, cf
 		return bytes * 8 / (float64(rate) * durSec)
 	}
 
-	hostOut := ds.HostOutBytes()
+	hostOut := ds.HostOut()
 	for i := 0; i < topo.NumHosts(); i++ {
-		out[netsim.TierHostRSW].Add(util(hostOut[topology.HostID(i)], cfg.HostLinkBps))
+		b, _ := hostOut.At(i)
+		out[netsim.TierHostRSW].Add(util(b, cfg.HostLinkBps))
 	}
-	rackCross := ds.RackCrossBytes()
+	rackCross := ds.RackCross()
 	for r := range topo.Racks {
-		per := rackCross[r] / 4
+		b, _ := rackCross.At(r)
+		per := b / 4
 		for i := 0; i < 4; i++ {
 			out[netsim.TierRSWCSW].Add(util(per, cfg.RSWUpBps))
 		}
 	}
-	clusterCross := ds.ClusterCrossBytes()
+	clusterCross := ds.ClusterCross()
 	for c := range topo.Clusters {
-		per := clusterCross[c] / 4
+		b, _ := clusterCross.At(c)
+		per := b / 4
 		for i := 0; i < 4; i++ {
 			out[netsim.TierCSWFC].Add(util(per, cfg.CSWUpBps))
 		}
@@ -48,18 +51,21 @@ func Utilization(ds *fbflow.Dataset, topo *topology.Topology, durSec float64, cf
 // cluster type, the §4.1 "heaviest clusters (Hadoop) ≈5× light ones
 // (Frontend)" comparison.
 func ClusterEdgeLoad(ds *fbflow.Dataset, topo *topology.Topology, durSec float64, cfg netsim.FabricConfig) map[topology.ClusterType]float64 {
-	hostOut := ds.HostOutBytes()
-	sum := make(map[topology.ClusterType]float64)
-	n := make(map[topology.ClusterType]int)
+	hostOut := ds.HostOut()
+	// Each type's sum accumulates in host-ID order: the same addition
+	// sequence, and so the same bits, as a map keyed by type.
+	var sum [topology.ClusterDB + 1]float64
+	var n [topology.ClusterDB + 1]int
 	for i := 0; i < topo.NumHosts(); i++ {
 		ct := topo.Clusters[topo.HostCluster(topology.HostID(i))].Type
-		sum[ct] += hostOut[topology.HostID(i)] * 8 / (float64(cfg.HostLinkBps) * durSec)
+		b, _ := hostOut.At(i)
+		sum[ct] += b * 8 / (float64(cfg.HostLinkBps) * durSec)
 		n[ct]++
 	}
 	out := make(map[topology.ClusterType]float64, len(sum))
 	for ct, s := range sum {
 		if n[ct] > 0 {
-			out[ct] = s / float64(n[ct])
+			out[topology.ClusterType(ct)] = s / float64(n[ct])
 		}
 	}
 	return out

@@ -688,6 +688,10 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 		case fbwire.TypeCell:
 			c := ag.pool.Get().(*Cell)
 			ch, err := fbwire.DecodePartial(f.Payload, c.Partial)
+			if err == nil {
+				topo := ag.s.Topo
+				err = c.Partial.CheckIDs(topo.NumHosts(), len(topo.Racks), len(topo.Clusters))
+			}
 			if err != nil {
 				ag.fail(fmt.Errorf("core: aggregator: agent %d frame: %w", a, err))
 				return

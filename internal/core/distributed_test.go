@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fbdcnet/internal/fbflow"
+	"fbdcnet/internal/fbwire"
 	"fbdcnet/internal/topology"
 )
 
@@ -233,5 +238,71 @@ func TestAggregatorRejectsConfigMismatch(t *testing.T) {
 	ln.Close()
 	if err == nil {
 		t.Fatal("aggregator accepted a mismatched configuration")
+	}
+}
+
+// TestDistributedRejectsOutOfRangeIDs drives one agent by hand whose
+// first CELL carries a hostOut key of 1<<31, far outside the fleet. The
+// Dataset indexes dense storage by host ID, so the aggregator must fail
+// that agent on the frame, naming the table and key, instead of merging.
+func TestDistributedRejectsOutOfRangeIDs(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.FleetWindows = 1
+	sys := MustNewSystem(cfg)
+	addr := filepath.Join(t.TempDir(), "agg.sock")
+	ln, err := net.Listen("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One in-range record, then its hostOut key rewritten on the wire
+	// form: the only entry whose (key, value) pair is (7, 12345).
+	const host, bytesSent = 7, 12345
+	good := fbflow.NewPartial()
+	good.Add(fbflow.Record{Src: host, Dst: host, Locality: topology.SameHost, Bytes: bytesSent})
+	enc := good.AppendBinary(nil)
+	entry := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, host), math.Float64bits(bytesSent))
+	at := bytes.Index(enc, entry)
+	if at < 0 || bytes.Count(enc, entry) != 1 {
+		t.Fatalf("hostOut entry found %d times in the encoded partial", bytes.Count(enc, entry))
+	}
+	binary.LittleEndian.PutUint64(enc[at:], 1<<31)
+	bad := fbflow.NewPartial()
+	if err := bad.DecodeBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+
+	spw := sys.fleetShardsPerWindow()
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- func() error {
+			conn, err := DialFleetAgent("unix", addr, 5*time.Second)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			w, r := fbwire.NewWriter(conn), fbwire.NewReader(conn)
+			if err := w.WriteHello(fbwire.Hello{Version: fbwire.Version, ShardHi: uint32(spw),
+				Windows: uint32(cfg.FleetWindows), Check: sys.fleetConfigCheck()}); err != nil {
+				return err
+			}
+			if f, err := r.Next(); err != nil || f.Type != fbwire.TypeWelcome {
+				return fmt.Errorf("awaiting welcome: type %#x err %v", f.Type, err)
+			}
+			return w.WritePartial(fbwire.PartialHeader{Seq: 0, Window: 0, Shard: 0}, bad)
+		}()
+	}()
+	_, _, err = sys.ServeFleetAggregator(ln, 1, 10*time.Second)
+	ln.Close()
+	if aerr := <-agentErr; aerr != nil {
+		t.Fatal(aerr)
+	}
+	if err == nil {
+		t.Fatal("aggregator merged a cell with hostOut key 1<<31")
+	}
+	for _, want := range []string{"agent 0", "hostOut", "2147483648"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

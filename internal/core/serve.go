@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fbdcnet/internal/sketch"
-	"fbdcnet/internal/topology"
 )
 
 // Serve mode: an endless rolling-window fleet collection. Each window
@@ -109,11 +108,11 @@ func (s *System) Serve(ctx context.Context, opts ServeOptions) error {
 		// Per-host outbound Mbps over the window, digested. Feeding in
 		// host-ID order keeps the digest a pure function of the dataset.
 		rates.Reset()
-		hostOut := ds.HostOutBytes()
+		hostOut := ds.HostOut()
 		winSec := s.Cfg.FleetWindowSec
 		if winSec > 0 {
 			for h := 0; h < s.Topo.NumHosts(); h++ {
-				if b, ok := hostOut[topology.HostID(h)]; ok {
+				if b, ok := hostOut.At(h); ok {
 					rates.Add(b*8/winSec/1e6, 1)
 				}
 			}

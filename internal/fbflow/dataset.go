@@ -1,9 +1,17 @@
 package fbflow
 
 import (
+	"math/bits"
 	"sync"
 
+	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/topology"
+)
+
+// The two closed enums the dense Table 3 aggregates are indexed by.
+const (
+	numClusterTypes = int(topology.ClusterDB) + 1
+	numLocalities   = int(topology.InterDatacenter) + 1
 )
 
 // Dataset is the analytics store at the end of the pipeline (the
@@ -11,44 +19,120 @@ import (
 // records along the dimensions the paper's fleet analyses query. Raw
 // records are not retained; memory stays bounded at matrix-of-racks
 // scale.
+//
+// The layout is columnar, like Partial's: the enum-keyed aggregates are
+// dense arrays, the per-host/rack/cluster ones are ID-indexed vectors,
+// and only the sparse keys (cluster pairs, minutes, and the destinations
+// of each source rack) live in open-addressing tables. Every aggregate
+// keeps key presence apart from value, so a key added with zero bytes is
+// still reported and archived, exactly as a map entry would be.
 type Dataset struct {
 	mu sync.Mutex
 
 	totalBytes float64
 
-	// locality[clusterType][locality] accumulates bytes for Table 3.
-	locality map[topology.ClusterType]map[topology.Locality]float64
+	// locality[clusterType][locality] accumulates bytes for Table 3;
 	// byClusterType accumulates bytes for Table 3's share row.
-	byClusterType map[topology.ClusterType]float64
-	// rackPair accumulates the Figure 5a/5b matrices.
-	rackPair map[[2]int]float64
-	// clusterPair accumulates the Figure 5c matrix.
-	clusterPair map[[2]int]float64
+	locality         [numClusterTypes][numLocalities]float64
+	localitySet      [numClusterTypes][numLocalities]bool
+	byClusterType    [numClusterTypes]float64
+	byClusterTypeSet [numClusterTypes]bool
+	// rackPair accumulates the Figure 5a/5b matrices as one row per
+	// source rack, keyed by destination rack. Millions of rack pairs in
+	// one table would miss cache on every insert; a row stays small, and
+	// RackMatrix reads only the rows of the cluster it is asked for.
+	rackPair []openhash.Table[float64]
+	// clusterPair accumulates the Figure 5c matrix (src<<32 | dst).
+	clusterPair openhash.Table[float64]
 	// perMinute accumulates fleet bytes per capture minute (diurnal).
-	perMinute map[int64]float64
+	perMinute openhash.Table[float64]
 	// hostOut / rackCross / clusterCross feed §4.1 tier utilization:
 	// bytes leaving each host, each rack, and each cluster.
-	hostOut      map[topology.HostID]float64
-	rackCross    map[int]float64
-	clusterCross map[int]float64
+	hostOut, rackCross, clusterCross IDVec
 
 	// card holds merged distinct-population sketches when the partials
 	// that built this dataset had cardinality enabled; nil otherwise.
 	card *Cardinality
+
+	// rowNew is MergePartial's scratch, parallel to rackPair: how many of
+	// the partial's keys land in each source rack's not-yet-built row.
+	rowNew []int32
 }
 
 // NewDataset returns an empty Dataset.
-func NewDataset() *Dataset {
-	return &Dataset{
-		locality:      make(map[topology.ClusterType]map[topology.Locality]float64),
-		byClusterType: make(map[topology.ClusterType]float64),
-		rackPair:      make(map[[2]int]float64),
-		clusterPair:   make(map[[2]int]float64),
-		perMinute:     make(map[int64]float64),
-		hostOut:       make(map[topology.HostID]float64),
-		rackCross:     make(map[int]float64),
-		clusterCross:  make(map[int]float64),
+func NewDataset() *Dataset { return &Dataset{} }
+
+// IDVec is a dense ID-indexed byte aggregate (per host, rack, or
+// cluster) with presence bits: the columnar stand-in for a map keyed by
+// small non-negative IDs. The zero value is empty. A view returned by a
+// Dataset accessor aliases the dataset's storage, so read it only once
+// merging into that dataset is done.
+type IDVec struct {
+	v   []float64
+	set []uint64 // presence bit per ID
+}
+
+// add folds b into id's sum, growing the vector by doubling.
+func (x *IDVec) add(id int, b float64) {
+	if id >= len(x.v) {
+		n := max(id+1, 2*len(x.v), 64)
+		v := make([]float64, n)
+		copy(v, x.v)
+		set := make([]uint64, (n+63)/64)
+		copy(set, x.set)
+		x.v, x.set = v, set
 	}
+	x.v[id] += b
+	x.set[id>>6] |= 1 << (id & 63)
+}
+
+// At returns id's byte sum and whether any record touched it.
+func (x IDVec) At(id int) (float64, bool) {
+	if id < 0 || id >= len(x.v) || x.set[id>>6]&(1<<(id&63)) == 0 {
+		return 0, false
+	}
+	return x.v[id], true
+}
+
+// forEach calls f for every present ID in ascending order, skipping
+// empty 64-ID words.
+func (x *IDVec) forEach(f func(id int, b float64)) {
+	for w, word := range x.set {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			f(id, x.v[id])
+		}
+	}
+}
+
+// The add path. Add (one record) and MergePartial (one partial's
+// per-key sums) both fold through these, one function per aggregate.
+
+func (d *Dataset) addLocality(ct, l int, b float64) {
+	d.locality[ct][l] += b
+	d.localitySet[ct][l] = true
+}
+
+func (d *Dataset) addClusterType(ct int, b float64) {
+	d.byClusterType[ct] += b
+	d.byClusterTypeSet[ct] = true
+}
+
+// rackRow returns src's destination row, growing the row index.
+func (d *Dataset) rackRow(src int) *openhash.Table[float64] {
+	if src >= len(d.rackPair) {
+		n := max(src+1, 2*len(d.rackPair), 64)
+		rows := make([]openhash.Table[float64], n)
+		copy(rows, d.rackPair)
+		rowNew := make([]int32, n)
+		copy(rowNew, d.rowNew)
+		d.rackPair, d.rowNew = rows, rowNew
+	}
+	return &d.rackPair[src]
+}
+
+func (d *Dataset) addRackPair(src, dst int, b float64) {
+	*d.rackRow(src).Slot(uint64(dst)) += b
 }
 
 // Add ingests one record; safe for concurrent use (it is the pipeline
@@ -57,76 +141,17 @@ func (d *Dataset) Add(r Record) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.totalBytes += r.Bytes
-	loc := d.locality[r.SrcClusterType]
-	if loc == nil {
-		loc = make(map[topology.Locality]float64)
-		d.locality[r.SrcClusterType] = loc
-	}
-	loc[r.Locality] += r.Bytes
-	d.byClusterType[r.SrcClusterType] += r.Bytes
-	d.rackPair[[2]int{r.SrcRack, r.DstRack}] += r.Bytes
-	d.clusterPair[[2]int{r.SrcCluster, r.DstCluster}] += r.Bytes
-	d.perMinute[r.Minute] += r.Bytes
-	d.hostOut[r.Src] += r.Bytes
+	d.addLocality(int(r.SrcClusterType), int(r.Locality), r.Bytes)
+	d.addClusterType(int(r.SrcClusterType), r.Bytes)
+	d.addRackPair(r.SrcRack, r.DstRack, r.Bytes)
+	*d.clusterPair.Slot(packPair(r.SrcCluster, r.DstCluster)) += r.Bytes
+	*d.perMinute.Slot(uint64(r.Minute)) += r.Bytes
+	d.hostOut.add(int(r.Src), r.Bytes)
 	if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
-		d.rackCross[r.SrcRack] += r.Bytes
+		d.rackCross.add(r.SrcRack, r.Bytes)
 		if r.Locality != topology.IntraCluster {
-			d.clusterCross[r.SrcCluster] += r.Bytes
+			d.clusterCross.add(r.SrcCluster, r.Bytes)
 		}
-	}
-}
-
-// Merge folds every aggregate of other into d. The parallel fleet engine
-// gives each (window, shard) task its own partial Dataset and merges the
-// partials in a fixed task order: per-key float additions then happen in
-// the same sequence regardless of which worker produced which partial or
-// when it finished, so the merged dataset is bit-identical across worker
-// counts. other must be quiescent for the duration of the call.
-func (d *Dataset) Merge(other *Dataset) {
-	if other == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	d.totalBytes += other.totalBytes
-	for ct, loc := range other.locality {
-		dst := d.locality[ct]
-		if dst == nil {
-			dst = make(map[topology.Locality]float64, len(loc))
-			d.locality[ct] = dst
-		}
-		for l, b := range loc {
-			dst[l] += b
-		}
-	}
-	for ct, b := range other.byClusterType {
-		d.byClusterType[ct] += b
-	}
-	for pair, b := range other.rackPair {
-		d.rackPair[pair] += b
-	}
-	for pair, b := range other.clusterPair {
-		d.clusterPair[pair] += b
-	}
-	for m, b := range other.perMinute {
-		d.perMinute[m] += b
-	}
-	for h, b := range other.hostOut {
-		d.hostOut[h] += b
-	}
-	for r, b := range other.rackCross {
-		d.rackCross[r] += b
-	}
-	for c, b := range other.clusterCross {
-		d.clusterCross[c] += b
-	}
-	if other.card != nil {
-		if d.card == nil {
-			d.card = NewCardinality()
-		}
-		d.card.Merge(other.card)
 	}
 }
 
@@ -151,21 +176,26 @@ func (d *Dataset) LocalityShare(ct topology.ClusterType) map[topology.Locality]f
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make(map[topology.Locality]float64)
+	if int(ct) >= numClusterTypes {
+		return out
+	}
 	total := d.byClusterType[ct]
 	if total == 0 {
 		return out
 	}
 	for l, b := range d.locality[ct] {
-		out[l] = b / total
+		if d.localitySet[ct][l] {
+			out[topology.Locality(l)] = b / total
+		}
 	}
 	return out
 }
 
 // LocalityShareAll returns the fleet-wide locality fractions — Table 3's
-// "All" column. Cluster types are folded in declaration order, not map
-// order: per-locality sums must accumulate in a fixed sequence for the
-// result to be bit-identical run-to-run (the determinism contract the
-// parallel engine's regression test asserts).
+// "All" column. Cluster types are folded in declaration order: per-
+// locality sums must accumulate in a fixed sequence for the result to be
+// bit-identical run-to-run (the determinism contract the parallel
+// engine's regression test asserts).
 func (d *Dataset) LocalityShareAll() map[topology.Locality]float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -175,7 +205,9 @@ func (d *Dataset) LocalityShareAll() map[topology.Locality]float64 {
 	}
 	for _, ct := range topology.ClusterTypes {
 		for l, b := range d.locality[ct] {
-			out[l] += b / d.totalBytes
+			if d.localitySet[ct][l] {
+				out[topology.Locality(l)] += b / d.totalBytes
+			}
 		}
 	}
 	return out
@@ -191,30 +223,51 @@ func (d *Dataset) TrafficShare() map[topology.ClusterType]float64 {
 		return out
 	}
 	for ct, b := range d.byClusterType {
-		out[ct] = b / d.totalBytes
+		if d.byClusterTypeSet[ct] {
+			out[topology.ClusterType(ct)] = b / d.totalBytes
+		}
 	}
 	return out
 }
 
 // RackMatrix returns the rack-to-rack byte matrix restricted to the racks
 // of one cluster, indexed by rack position within the cluster (Fig 5a/b).
+// Only that cluster's source rows are read.
 func (d *Dataset) RackMatrix(topo *topology.Topology, cluster int) [][]float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	racks := topo.Clusters[cluster].Racks
-	pos := make(map[int]int, len(racks))
-	for i, r := range racks {
-		pos[r] = i
-	}
 	m := make([][]float64, len(racks))
-	for i := range m {
+	if len(racks) == 0 {
+		return m
+	}
+	lo, hi := racks[0], racks[0]
+	for _, r := range racks {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	// pos[r-lo] is rack r's position in the cluster, -1 for racks of
+	// other clusters inside the [lo, hi] span.
+	pos := make([]int32, hi-lo+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, r := range racks {
+		pos[r-lo] = int32(i)
 		m[i] = make([]float64, len(racks))
 	}
-	for pair, b := range d.rackPair {
-		si, ok1 := pos[pair[0]]
-		di, ok2 := pos[pair[1]]
-		if ok1 && ok2 {
-			m[si][di] += b
+	for si, r := range racks {
+		if r >= len(d.rackPair) {
+			continue
+		}
+		row := &d.rackPair[r]
+		for j := 0; j < row.Len(); j++ {
+			dst := int(row.Key(j))
+			if dst < lo || dst > hi {
+				continue
+			}
+			if di := pos[dst-lo]; di >= 0 {
+				m[si][di] += *row.Val(j)
+			}
 		}
 	}
 	return m
@@ -233,11 +286,12 @@ func (d *Dataset) ClusterMatrix(clusters []int) [][]float64 {
 	for i := range m {
 		m[i] = make([]float64, len(clusters))
 	}
-	for pair, b := range d.clusterPair {
-		si, ok1 := pos[pair[0]]
-		di, ok2 := pos[pair[1]]
+	for i := 0; i < d.clusterPair.Len(); i++ {
+		src, dst := unpackPair(d.clusterPair.Key(i))
+		si, ok1 := pos[src]
+		di, ok2 := pos[dst]
 		if ok1 && ok2 {
-			m[si][di] += b
+			m[si][di] += *d.clusterPair.Val(i)
 		}
 	}
 	return m
@@ -247,43 +301,32 @@ func (d *Dataset) ClusterMatrix(clusters []int) [][]float64 {
 func (d *Dataset) PerMinute() map[int64]float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int64]float64, len(d.perMinute))
-	for k, v := range d.perMinute {
-		out[k] = v
+	out := make(map[int64]float64, d.perMinute.Len())
+	for i := 0; i < d.perMinute.Len(); i++ {
+		out[int64(d.perMinute.Key(i))] = *d.perMinute.Val(i)
 	}
 	return out
 }
 
-// HostOutBytes returns bytes sent per host (edge-link accounting).
-func (d *Dataset) HostOutBytes() map[topology.HostID]float64 {
+// HostOut returns bytes sent per host (edge-link accounting), indexed by
+// HostID.
+func (d *Dataset) HostOut() IDVec {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[topology.HostID]float64, len(d.hostOut))
-	for k, v := range d.hostOut {
-		out[k] = v
-	}
-	return out
+	return d.hostOut
 }
 
-// RackCrossBytes returns bytes leaving each rack (RSW uplink accounting).
-func (d *Dataset) RackCrossBytes() map[int]float64 {
+// RackCross returns bytes leaving each rack (RSW uplink accounting).
+func (d *Dataset) RackCross() IDVec {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]float64, len(d.rackCross))
-	for k, v := range d.rackCross {
-		out[k] = v
-	}
-	return out
+	return d.rackCross
 }
 
-// ClusterCrossBytes returns bytes leaving each cluster (CSW uplink
+// ClusterCross returns bytes leaving each cluster (CSW uplink
 // accounting).
-func (d *Dataset) ClusterCrossBytes() map[int]float64 {
+func (d *Dataset) ClusterCross() IDVec {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]float64, len(d.clusterCross))
-	for k, v := range d.clusterCross {
-		out[k] = v
-	}
-	return out
+	return d.clusterCross
 }

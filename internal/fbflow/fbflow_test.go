@@ -166,13 +166,13 @@ func TestDatasetClusterMatrixAndCrossCounters(t *testing.T) {
 	if m[0][1] != 800 {
 		t.Fatalf("cluster matrix = %v", m)
 	}
-	if got := ds.HostOutBytes()[src]; got != 800 {
+	if got, _ := ds.HostOut().At(int(src)); got != 800 {
 		t.Fatalf("host out = %v", got)
 	}
-	if got := ds.RackCrossBytes()[topo.HostRack(src)]; got != 800 {
+	if got, _ := ds.RackCross().At(topo.HostRack(src)); got != 800 {
 		t.Fatalf("rack cross = %v", got)
 	}
-	if got := ds.ClusterCrossBytes()[c0]; got != 800 {
+	if got, _ := ds.ClusterCross().At(c0); got != 800 {
 		t.Fatalf("cluster cross = %v", got)
 	}
 }
@@ -184,10 +184,10 @@ func TestIntraRackNotCountedAsCross(t *testing.T) {
 	rack := topo.Racks[0]
 	p.AddFlow(0, topo.Host(rack.Host(0)).Addr, topo.Host(rack.Host(1)).Addr, 100)
 	p.Close()
-	if len(ds.RackCrossBytes()) != 0 {
+	if rc := ds.RackCross(); present(&rc) != 0 {
 		t.Fatal("intra-rack traffic counted as rack-crossing")
 	}
-	if len(ds.ClusterCrossBytes()) != 0 {
+	if cc := ds.ClusterCross(); present(&cc) != 0 {
 		t.Fatal("intra-rack traffic counted as cluster-crossing")
 	}
 }
@@ -289,10 +289,14 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if got.HostOutBytes()[hadoop] != ds.HostOutBytes()[hadoop] {
+	ha, _ := got.HostOut().At(int(hadoop))
+	hb, _ := ds.HostOut().At(int(hadoop))
+	if ha != hb {
 		t.Fatal("host out diverged")
 	}
-	if got.RackCrossBytes()[topo.HostRack(hadoop)] != ds.RackCrossBytes()[topo.HostRack(hadoop)] {
+	ra2, _ := got.RackCross().At(topo.HostRack(hadoop))
+	rb2, _ := ds.RackCross().At(topo.HostRack(hadoop))
+	if ra2 != rb2 {
 		t.Fatal("rack cross diverged")
 	}
 }

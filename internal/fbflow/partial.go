@@ -1,30 +1,32 @@
 package fbflow
 
 import (
+	"fmt"
+
 	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/topology"
 )
 
 // Partial is a shard-local columnar accumulator for the parallel fleet
-// collector: the same aggregates a Dataset holds, stored in fixed arrays
-// and open-addressing tables instead of one map entry per key per shard.
-// A Partial is single-goroutine (no mutex — each collection task owns
-// one), reusable via Reset, and folded into the shared Dataset with
-// MergePartial.
+// collector: the same aggregates a Dataset holds, in fixed arrays and
+// open-addressing tables, for one (window, shard) cell. A Partial is
+// single-goroutine (no mutex — each collection task owns one), reusable
+// via Reset, and folded into the shared Dataset with MergePartial.
 //
-// Bit-identity: within a shard, Add folds records in the same order
-// Dataset.Add would, so every per-key partial sum is the float64 the old
-// per-shard Dataset produced; MergePartial then adds those sums key by
-// key, exactly like Dataset.Merge. Since no arithmetic ever crosses keys,
-// the iteration order over keys is immaterial and the merged dataset is
-// bit-identical to the map-based path.
+// Bit-identity: within a cell, Add folds records in the order
+// Dataset.Add would, so every per-key partial sum is the float64 that
+// Dataset.Add would have built for that cell. MergePartial then adds
+// those sums key by key. No arithmetic ever crosses keys, so only the
+// per-key sequence of additions matters — fixed by merging cells in task
+// order — and the iteration order over keys within one partial is
+// immaterial.
 type Partial struct {
 	totalBytes float64
 
 	// locality[clusterType][locality] and byClusterType are dense: both
 	// dimensions are tiny closed enums.
-	locality      [topology.ClusterDB + 1][topology.InterDatacenter + 1]float64
-	byClusterType [topology.ClusterDB + 1]float64
+	locality      [numClusterTypes][numLocalities]float64
+	byClusterType [numClusterTypes]float64
 
 	// Pair and sparse-key aggregates live in packed-key tables. Rack,
 	// cluster, and minute indexes all fit in 32 bits by construction
@@ -58,8 +60,10 @@ func (p *Partial) EnableCardinality() {
 // packPair packs an ordered (src, dst) index pair into one table key.
 func packPair(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
-// Add folds one record, mirroring Dataset.Add without locks or map
-// assignments.
+// unpackPair inverts packPair.
+func unpackPair(k uint64) (src, dst int) { return int(int32(k >> 32)), int(int32(uint32(k))) }
+
+// Add folds one record, mirroring Dataset.Add without locks.
 func (p *Partial) Add(r Record) {
 	p.totalBytes += r.Bytes
 	p.locality[r.SrcClusterType][r.Locality] += r.Bytes
@@ -83,8 +87,8 @@ func (p *Partial) Add(r Record) {
 // Partial's steady-state Add path allocates nothing.
 func (p *Partial) Reset() {
 	p.totalBytes = 0
-	p.locality = [topology.ClusterDB + 1][topology.InterDatacenter + 1]float64{}
-	p.byClusterType = [topology.ClusterDB + 1]float64{}
+	p.locality = [numClusterTypes][numLocalities]float64{}
+	p.byClusterType = [numClusterTypes]float64{}
 	p.rackPair.Reset()
 	p.clusterPair.Reset()
 	p.perMinute.Reset()
@@ -96,10 +100,45 @@ func (p *Partial) Reset() {
 	}
 }
 
-// MergePartial folds a shard's Partial into d, the columnar counterpart
-// of Merge. The caller serializes MergePartial calls in task order; the
-// per-key addition sequence is then identical to merging the old
-// per-shard Datasets in that order.
+// CheckIDs reports the first key of p that names a host, rack, or
+// cluster outside a fleet of the given size. The Dataset indexes dense
+// storage by these IDs, so a partial decoded off the wire must pass this
+// check before MergePartial: a corrupt key would otherwise index out of
+// range or drive a multi-GiB grow. The error names the table and key.
+func (p *Partial) CheckIDs(hosts, racks, clusters int) error {
+	for _, c := range [...]struct {
+		name string
+		t    *openhash.Table[float64]
+		n    int
+		pair bool
+	}{
+		{"rackPair", &p.rackPair, racks, true},
+		{"clusterPair", &p.clusterPair, clusters, true},
+		{"hostOut", &p.hostOut, hosts, false},
+		{"rackCross", &p.rackCross, racks, false},
+		{"clusterCross", &p.clusterCross, clusters, false},
+	} {
+		n := uint64(c.n)
+		for i := 0; i < c.t.Len(); i++ {
+			k := c.t.Key(i)
+			switch {
+			case c.pair && (k>>32 >= n || uint64(uint32(k)) >= n):
+				return fmt.Errorf("fbflow: partial %s key (%d,%d) outside %d IDs", c.name, k>>32, uint32(k), c.n)
+			case !c.pair && k >= n:
+				return fmt.Errorf("fbflow: partial %s key %d outside %d IDs", c.name, k, c.n)
+			}
+		}
+	}
+	return nil
+}
+
+// MergePartial folds a cell's Partial into d: every table entry becomes
+// one add into the matching column or row, through the same add path as
+// Dataset.Add. The caller serializes MergePartial calls in task order,
+// which fixes the per-key addition sequence and so the merged bits.
+// Locality and cluster-type sums of zero are skipped, like keys no
+// record touched. A partial whose keys d already holds merges without
+// allocating.
 func (d *Dataset) MergePartial(p *Partial) {
 	if p == nil {
 		return
@@ -109,32 +148,48 @@ func (d *Dataset) MergePartial(p *Partial) {
 	d.totalBytes += p.totalBytes
 	for ct := range p.locality {
 		for l, b := range p.locality[ct] {
-			if b == 0 {
-				continue
+			if b != 0 {
+				d.addLocality(ct, l, b)
 			}
-			loc := d.locality[topology.ClusterType(ct)]
-			if loc == nil {
-				loc = make(map[topology.Locality]float64)
-				d.locality[topology.ClusterType(ct)] = loc
-			}
-			loc[topology.Locality(l)] += b
 		}
 	}
 	for ct, b := range p.byClusterType {
 		if b != 0 {
-			d.byClusterType[topology.ClusterType(ct)] += b
+			d.addClusterType(ct, b)
 		}
 	}
-	p.rackPair.Range(func(k uint64, v *float64) {
-		d.rackPair[[2]int{int(int32(k >> 32)), int(int32(uint32(k)))}] += *v
-	})
-	p.clusterPair.Range(func(k uint64, v *float64) {
-		d.clusterPair[[2]int{int(int32(k >> 32)), int(int32(uint32(k)))}] += *v
-	})
-	p.perMinute.Range(func(k uint64, v *float64) { d.perMinute[int64(k)] += *v })
-	p.hostOut.Range(func(k uint64, v *float64) { d.hostOut[topology.HostID(k)] += *v })
-	p.rackCross.Range(func(k uint64, v *float64) { d.rackCross[int(k)] += *v })
-	p.clusterCross.Range(func(k uint64, v *float64) { d.clusterCross[int(k)] += *v })
+	// Rack pairs: count the keys bound for rows d has not built yet, so
+	// each new row is sized once instead of doubling its way up.
+	rp := &p.rackPair
+	for i := 0; i < rp.Len(); i++ {
+		src := int(rp.Key(i) >> 32)
+		if d.rackRow(src).Cap() == 0 {
+			d.rowNew[src]++
+		}
+	}
+	for i := 0; i < rp.Len(); i++ {
+		k := rp.Key(i)
+		src := int(k >> 32)
+		if n := d.rowNew[src]; n > 0 {
+			d.rackPair[src].Reserve(int(n))
+			d.rowNew[src] = 0
+		}
+		d.addRackPair(src, int(uint32(k)), *rp.Val(i))
+	}
+	for i := 0; i < p.clusterPair.Len(); i++ {
+		*d.clusterPair.Slot(p.clusterPair.Key(i)) += *p.clusterPair.Val(i)
+	}
+	for i := 0; i < p.perMinute.Len(); i++ {
+		*d.perMinute.Slot(p.perMinute.Key(i)) += *p.perMinute.Val(i)
+	}
+	for _, c := range [...]struct {
+		t   *openhash.Table[float64]
+		dst *IDVec
+	}{{&p.hostOut, &d.hostOut}, {&p.rackCross, &d.rackCross}, {&p.clusterCross, &d.clusterCross}} {
+		for i := 0; i < c.t.Len(); i++ {
+			c.dst.add(int(c.t.Key(i)), *c.t.Val(i))
+		}
+	}
 	if p.card != nil {
 		if d.card == nil {
 			d.card = NewCardinality()

@@ -5,8 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"fbdcnet/internal/topology"
+	"math"
 )
 
 // Long-term storage (the Hive stage of Figure 3): a Dataset's aggregates
@@ -31,12 +30,39 @@ type storeDoc struct {
 	ClusterCross map[string]float64 `json:"cluster_cross"` // cluster → bytes
 }
 
+// The archive's ID caps. Host, rack, and cluster IDs index dense storage
+// when an archive loads, so a corrupt key must fail the load instead of
+// driving a multi-GiB allocation. Each cap is about 4× the xlarge preset
+// (1,105,920 hosts, 34,560 racks, 15 clusters).
+const (
+	maxArchiveHosts    = 1 << 22
+	maxArchiveRacks    = 1 << 17
+	maxArchiveClusters = 1 << 12
+)
+
 func pairKey(a, b int) string { return fmt.Sprintf("%d,%d", a, b) }
 
-func parsePair(s string) (int, int, error) {
+// parseID parses one archive key naming an ID in [0, limit).
+func parseID(s, kind string, limit int) (int, error) {
+	var v int
+	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+		return 0, fmt.Errorf("fbflow: bad %s key %q", kind, s)
+	}
+	if v < 0 || v >= limit {
+		return 0, fmt.Errorf("fbflow: %s key %q outside [0, %d)", kind, s, limit)
+	}
+	return v, nil
+}
+
+// parsePair parses one "a,b" archive key with a in [0, limA) and b in
+// [0, limB).
+func parsePair(s, kind string, limA, limB int) (int, int, error) {
 	var a, b int
 	if _, err := fmt.Sscanf(s, "%d,%d", &a, &b); err != nil {
-		return 0, 0, fmt.Errorf("fbflow: bad pair key %q: %w", s, err)
+		return 0, 0, fmt.Errorf("fbflow: bad %s pair key %q: %w", kind, s, err)
+	}
+	if a < 0 || a >= limA || b < 0 || b >= limB {
+		return 0, 0, fmt.Errorf("fbflow: %s pair key %q outside [0, %d)×[0, %d)", kind, s, limA, limB)
 	}
 	return a, b, nil
 }
@@ -57,31 +83,36 @@ func (d *Dataset) Save(w io.Writer) error {
 		RackCross:    map[string]float64{},
 		ClusterCross: map[string]float64{},
 	}
-	for ct, locs := range d.locality {
-		for l, v := range locs {
-			doc.Locality[pairKey(int(ct), int(l))] = v
+	for ct := range d.locality {
+		for l, v := range d.locality[ct] {
+			if d.localitySet[ct][l] {
+				doc.Locality[pairKey(ct, l)] = v
+			}
 		}
 	}
 	for ct, v := range d.byClusterType {
-		doc.ByCluster[fmt.Sprintf("%d", int(ct))] = v
+		if d.byClusterTypeSet[ct] {
+			doc.ByCluster[fmt.Sprintf("%d", ct)] = v
+		}
 	}
-	for p, v := range d.rackPair {
-		doc.RackPair[pairKey(p[0], p[1])] = v
+	for src := range d.rackPair {
+		row := &d.rackPair[src]
+		for j := 0; j < row.Len(); j++ {
+			doc.RackPair[pairKey(src, int(row.Key(j)))] = *row.Val(j)
+		}
 	}
-	for p, v := range d.clusterPair {
-		doc.ClusterPair[pairKey(p[0], p[1])] = v
+	for i := 0; i < d.clusterPair.Len(); i++ {
+		src, dst := unpackPair(d.clusterPair.Key(i))
+		doc.ClusterPair[pairKey(src, dst)] = *d.clusterPair.Val(i)
 	}
-	for m, v := range d.perMinute {
-		doc.PerMinute[fmt.Sprintf("%d", m)] = v
+	for i := 0; i < d.perMinute.Len(); i++ {
+		doc.PerMinute[fmt.Sprintf("%d", int64(d.perMinute.Key(i)))] = *d.perMinute.Val(i)
 	}
-	for h, v := range d.hostOut {
-		doc.HostOut[fmt.Sprintf("%d", h)] = v
-	}
-	for r, v := range d.rackCross {
-		doc.RackCross[fmt.Sprintf("%d", r)] = v
-	}
-	for c, v := range d.clusterCross {
-		doc.ClusterCross[fmt.Sprintf("%d", c)] = v
+	for _, c := range []struct {
+		x   *IDVec
+		out map[string]float64
+	}{{&d.hostOut, doc.HostOut}, {&d.rackCross, doc.RackCross}, {&d.clusterCross, doc.ClusterCross}} {
+		c.x.forEach(func(id int, v float64) { c.out[fmt.Sprintf("%d", id)] = v })
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -91,7 +122,8 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads an archived dataset from r.
+// Load reads an archived dataset from r. Every key must parse, name an
+// ID inside its enum or below the archive caps, and appear once.
 func Load(r io.Reader) (*Dataset, error) {
 	var doc storeDoc
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&doc); err != nil {
@@ -100,68 +132,79 @@ func Load(r io.Reader) (*Dataset, error) {
 	if doc.Version != storeVersion {
 		return nil, fmt.Errorf("fbflow: unsupported dataset version %d", doc.Version)
 	}
+	repeated := func(kind, k string) error { return fmt.Errorf("fbflow: archive repeats %s key %q", kind, k) }
 	d := NewDataset()
 	d.totalBytes = doc.TotalBytes
 	for k, v := range doc.Locality {
-		ct, l, err := parsePair(k)
+		ct, l, err := parsePair(k, "locality", numClusterTypes, numLocalities)
 		if err != nil {
 			return nil, err
 		}
-		m := d.locality[topology.ClusterType(ct)]
-		if m == nil {
-			m = map[topology.Locality]float64{}
-			d.locality[topology.ClusterType(ct)] = m
+		if d.localitySet[ct][l] {
+			return nil, repeated("locality", k)
 		}
-		m[topology.Locality(l)] = v
+		d.addLocality(ct, l, v)
 	}
 	for k, v := range doc.ByCluster {
-		var ct int
-		if _, err := fmt.Sscanf(k, "%d", &ct); err != nil {
-			return nil, fmt.Errorf("fbflow: bad cluster key %q", k)
+		ct, err := parseID(k, "cluster type", numClusterTypes)
+		if err != nil {
+			return nil, err
 		}
-		d.byClusterType[topology.ClusterType(ct)] = v
+		if d.byClusterTypeSet[ct] {
+			return nil, repeated("cluster type", k)
+		}
+		d.addClusterType(ct, v)
 	}
 	for k, v := range doc.RackPair {
-		a, b, err := parsePair(k)
+		a, b, err := parsePair(k, "rack", maxArchiveRacks, maxArchiveRacks)
 		if err != nil {
 			return nil, err
 		}
-		d.rackPair[[2]int{a, b}] = v
+		if d.rackRow(a).Get(uint64(b)) != nil {
+			return nil, repeated("rack pair", k)
+		}
+		d.addRackPair(a, b, v)
 	}
 	for k, v := range doc.ClusterPair {
-		a, b, err := parsePair(k)
+		a, b, err := parsePair(k, "cluster", maxArchiveClusters, maxArchiveClusters)
 		if err != nil {
 			return nil, err
 		}
-		d.clusterPair[[2]int{a, b}] = v
+		if d.clusterPair.Get(packPair(a, b)) != nil {
+			return nil, repeated("cluster pair", k)
+		}
+		*d.clusterPair.Slot(packPair(a, b)) = v
 	}
 	for k, v := range doc.PerMinute {
-		var m int64
-		if _, err := fmt.Sscanf(k, "%d", &m); err != nil {
-			return nil, fmt.Errorf("fbflow: bad minute key %q", k)
+		m, err := parseID(k, "minute", math.MaxInt)
+		if err != nil {
+			return nil, err
 		}
-		d.perMinute[m] = v
+		if d.perMinute.Get(uint64(m)) != nil {
+			return nil, repeated("minute", k)
+		}
+		*d.perMinute.Slot(uint64(m)) = v
 	}
-	for k, v := range doc.HostOut {
-		var h int32
-		if _, err := fmt.Sscanf(k, "%d", &h); err != nil {
-			return nil, fmt.Errorf("fbflow: bad host key %q", k)
+	for _, c := range []struct {
+		in    map[string]float64
+		x     *IDVec
+		kind  string
+		limit int
+	}{
+		{doc.HostOut, &d.hostOut, "host", maxArchiveHosts},
+		{doc.RackCross, &d.rackCross, "rack", maxArchiveRacks},
+		{doc.ClusterCross, &d.clusterCross, "cluster", maxArchiveClusters},
+	} {
+		for k, v := range c.in {
+			id, err := parseID(k, c.kind, c.limit)
+			if err != nil {
+				return nil, err
+			}
+			if _, ok := c.x.At(id); ok {
+				return nil, repeated(c.kind, k)
+			}
+			c.x.add(id, v)
 		}
-		d.hostOut[topology.HostID(h)] = v
-	}
-	for k, v := range doc.RackCross {
-		var rk int
-		if _, err := fmt.Sscanf(k, "%d", &rk); err != nil {
-			return nil, fmt.Errorf("fbflow: bad rack key %q", k)
-		}
-		d.rackCross[rk] = v
-	}
-	for k, v := range doc.ClusterCross {
-		var c int
-		if _, err := fmt.Sscanf(k, "%d", &c); err != nil {
-			return nil, fmt.Errorf("fbflow: bad cluster key %q", k)
-		}
-		d.clusterCross[c] = v
 	}
 	return d, nil
 }

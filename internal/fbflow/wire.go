@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"fbdcnet/internal/openhash"
-	"fbdcnet/internal/topology"
 )
 
 // Binary wire form of a Partial — the payload a distributed fleet agent
@@ -28,7 +27,7 @@ const partialWireVersion = 1
 const partialFlagCard = 1
 
 // localityCells is the dense locality matrix size.
-const localityCells = (int(topology.ClusterDB) + 1) * (int(topology.InterDatacenter) + 1)
+const localityCells = numClusterTypes * numLocalities
 
 // maxWireTableEntries caps the declared size of one table on the wire: a
 // corrupt count must not drive a multi-gigabyte allocation before the

@@ -80,10 +80,28 @@ func (t *Table[V]) Slot(k uint64) *V {
 // grow doubles the slot arrays and rehashes, preserving insertion order.
 func (t *Table[V]) grow() {
 	t.grows++
-	n := 2 * len(t.keys)
-	if n < 16 {
-		n = 16
+	t.resize(max(2*len(t.keys), 16))
+}
+
+// Reserve sizes the table so that it holds n entries, and takes Slot
+// calls on them, without another rehash. It is a no-op when the table
+// already has the room, and unlike a growth-driven rehash it does not
+// count toward Grows: a caller that knows its entry count up front
+// allocates the slot arrays once.
+func (t *Table[V]) Reserve(n int) {
+	if n == 0 || n < len(t.keys)-len(t.keys)>>2 {
+		return
 	}
+	size := max(len(t.keys), 16)
+	for size-size>>2 <= n { // Slot grows once len(used) reaches 3/4
+		size *= 2
+	}
+	t.resize(size)
+}
+
+// resize rehashes into n slots (a power of two), preserving insertion
+// order.
+func (t *Table[V]) resize(n int) {
 	ok, ov, ou := t.keys, t.vals, t.used
 	t.keys = make([]uint64, n)
 	t.vals = make([]V, n)

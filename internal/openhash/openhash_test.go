@@ -108,3 +108,35 @@ func TestTableHighBitKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestTableReserve pins Reserve's contract: n entries then fit, and take
+// Slot calls, without a rehash or allocation; insertion order survives
+// a reserve of a non-empty table; the sizing does not count as growth.
+func TestTableReserve(t *testing.T) {
+	for _, n := range []int{1, 12, 13, 100, 1000} {
+		var tb Table[int]
+		tb.Reserve(n)
+		allocs := testing.AllocsPerRun(1, func() {
+			tb.Reset()
+			for i := 0; i < n; i++ {
+				*tb.Slot(uint64(i) * 7919) = i
+			}
+			for i := 0; i < n; i++ {
+				*tb.Slot(uint64(i) * 7919) += 0
+			}
+		})
+		if allocs != 0 || tb.Grows() != 0 || tb.Len() != n {
+			t.Fatalf("Reserve(%d): %v allocs, %d grows, len %d", n, allocs, tb.Grows(), tb.Len())
+		}
+		tb.Reserve(4 * n)
+		for i := 0; i < n; i++ {
+			if tb.Key(i) != uint64(i)*7919 || *tb.Val(i) != i {
+				t.Fatalf("Reserve(%d) lost insertion order at %d", 4*n, i)
+			}
+		}
+	}
+	var empty Table[int]
+	if empty.Reserve(0); empty.Cap() != 0 {
+		t.Fatalf("Reserve(0) allocated %d slots", empty.Cap())
+	}
+}
