@@ -143,14 +143,14 @@ func (d *Dataset) Add(r Record) {
 	d.totalBytes += r.Bytes
 	d.addLocality(int(r.SrcClusterType), int(r.Locality), r.Bytes)
 	d.addClusterType(int(r.SrcClusterType), r.Bytes)
-	d.addRackPair(r.SrcRack, r.DstRack, r.Bytes)
+	d.addRackPair(int(r.SrcRack), int(r.DstRack), r.Bytes)
 	*d.clusterPair.Slot(packPair(r.SrcCluster, r.DstCluster)) += r.Bytes
 	*d.perMinute.Slot(uint64(r.Minute)) += r.Bytes
 	d.hostOut.add(int(r.Src), r.Bytes)
 	if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
-		d.rackCross.add(r.SrcRack, r.Bytes)
+		d.rackCross.add(int(r.SrcRack), r.Bytes)
 		if r.Locality != topology.IntraCluster {
-			d.clusterCross.add(r.SrcCluster, r.Bytes)
+			d.clusterCross.add(int(r.SrcCluster), r.Bytes)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/rng"
 	"fbdcnet/internal/topology"
 )
@@ -49,14 +50,14 @@ func (d *refDataset) add(r Record) {
 	}
 	loc[r.Locality] += r.Bytes
 	d.byClusterType[r.SrcClusterType] += r.Bytes
-	d.rackPair[[2]int{r.SrcRack, r.DstRack}] += r.Bytes
-	d.clusterPair[[2]int{r.SrcCluster, r.DstCluster}] += r.Bytes
+	d.rackPair[[2]int{int(r.SrcRack), int(r.DstRack)}] += r.Bytes
+	d.clusterPair[[2]int{int(r.SrcCluster), int(r.DstCluster)}] += r.Bytes
 	d.perMinute[r.Minute] += r.Bytes
 	d.hostOut[r.Src] += r.Bytes
 	if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
-		d.rackCross[r.SrcRack] += r.Bytes
+		d.rackCross[int(r.SrcRack)] += r.Bytes
 		if r.Locality != topology.IntraCluster {
-			d.clusterCross[r.SrcCluster] += r.Bytes
+			d.clusterCross[int(r.SrcCluster)] += r.Bytes
 		}
 	}
 }
@@ -470,5 +471,171 @@ func TestPartialCheckIDs(t *testing.T) {
 	p.Add(Record{Src: 0, SrcRack: 0, DstRack: 5, Locality: topology.IntraCluster})
 	if err := p.CheckIDs(1, 3, 1); err == nil || !strings.Contains(err.Error(), "(0,5)") {
 		t.Errorf("destination rack 5 of 3: %v", err)
+	}
+}
+
+// sourceRuns tags n flows whose source changes every record (run 1) or
+// repeats in runs of up to run records. Destinations mix the source's
+// own rack with the whole fleet, so runs skip the cross tables now and
+// then, and the minute changes within runs.
+func sourceRuns(tb testing.TB, topo *topology.Topology, r *rng.Source, n, run int) []Record {
+	tb.Helper()
+	tagger := NewTagger(topo)
+	hosts := topo.NumHosts()
+	recs := make([]Record, 0, n)
+	src := topology.HostID(0)
+	for len(recs) < n {
+		src = (src + 1 + topology.HostID(r.Intn(hosts-1))) % topology.HostID(hosts)
+		for k := 1 + r.Intn(run); k > 0 && len(recs) < n; k-- {
+			dst := topology.HostID(r.Intn(hosts))
+			if r.Intn(3) == 0 {
+				rk := &topo.Racks[topo.HostRack(src)]
+				dst = rk.FirstHost + topology.HostID(r.Intn(int(rk.NumHosts)))
+			}
+			rec, ok := tagger.Flow(int64(r.Intn(2)), topo.Addr(src), topo.Addr(dst), 40+r.Float64()*1e6)
+			if !ok {
+				tb.Fatalf("tagger rejected in-topology flow %d -> %d", src, dst)
+			}
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// tableKeys lists a table's keys in insertion order.
+func tableKeys(t *openhash.Table[float64]) []uint64 {
+	keys := make([]uint64, t.Len())
+	for i := range keys {
+		keys[i] = t.Key(i)
+	}
+	return keys
+}
+
+// checkPartialFolds asserts that p holds exactly what recs folded into
+// an empty partial would: every per-key sum bit for bit against the map
+// oracle, and every table's insertion order against the order in which
+// recs first touch each key. It also compares p table by table with a
+// fresh partial fed recs.
+func checkPartialFolds(t *testing.T, what string, p *Partial, recs []Record) {
+	t.Helper()
+	want, got := newRefDataset(), newRefDataset()
+	fresh := NewPartial()
+	order := make([][]uint64, 6)
+	seen := make([]map[uint64]bool, 6)
+	for i := range seen {
+		seen[i] = map[uint64]bool{}
+	}
+	touch := func(table int, k uint64) {
+		if !seen[table][k] {
+			seen[table][k] = true
+			order[table] = append(order[table], k)
+		}
+	}
+	for _, r := range recs {
+		want.add(r)
+		fresh.Add(r)
+		touch(0, packPair(r.SrcRack, r.DstRack))
+		touch(1, packPair(r.SrcCluster, r.DstCluster))
+		touch(2, uint64(r.Minute))
+		touch(3, uint64(r.Src))
+		if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
+			touch(4, uint64(r.SrcRack))
+			if r.Locality != topology.IntraCluster {
+				touch(5, uint64(r.SrcCluster))
+			}
+		}
+	}
+	got.mergePartial(p)
+	if !sameBits(got.totalBytes, want.totalBytes) {
+		t.Fatalf("%s: total %v, want %v", what, got.totalBytes, want.totalBytes)
+	}
+	sameMap(t, what+" rackPair", got.rackPair, want.rackPair)
+	sameMap(t, what+" clusterPair", got.clusterPair, want.clusterPair)
+	sameMap(t, what+" perMinute", got.perMinute, want.perMinute)
+	sameMap(t, what+" hostOut", got.hostOut, want.hostOut)
+	sameMap(t, what+" rackCross", got.rackCross, want.rackCross)
+	sameMap(t, what+" clusterCross", got.clusterCross, want.clusterCross)
+	for i, c := range []struct {
+		name      string
+		got, have *openhash.Table[float64]
+	}{
+		{"rackPair", &p.rackPair, &fresh.rackPair},
+		{"clusterPair", &p.clusterPair, &fresh.clusterPair},
+		{"perMinute", &p.perMinute, &fresh.perMinute},
+		{"hostOut", &p.hostOut, &fresh.hostOut},
+		{"rackCross", &p.rackCross, &fresh.rackCross},
+		{"clusterCross", &p.clusterCross, &fresh.clusterCross},
+	} {
+		keys := tableKeys(c.got)
+		if fmt.Sprint(keys) != fmt.Sprint(order[i]) {
+			t.Fatalf("%s %s: insertion order %v, want %v", what, c.name, keys, order[i])
+		}
+		if fmt.Sprint(keys) != fmt.Sprint(tableKeys(c.have)) {
+			t.Fatalf("%s %s: insertion order differs from a fresh partial's", what, c.name)
+		}
+		for j := range keys {
+			if !sameBits(*c.got.Val(j), *c.have.Val(j)) {
+				t.Fatalf("%s %s[%#x] = %v, fresh partial %v", what, c.name, keys[j], *c.got.Val(j), *c.have.Val(j))
+			}
+		}
+	}
+}
+
+// TestPartialAddSlotMemo: Add skips the probe of the minute, host and
+// cross tables while the key repeats. Sums and insertion order must not
+// depend on that — not when the source changes every record or repeats
+// in runs, not after a Reset whose first key is the one Add remembered,
+// and not after decoding into a used pooled partial. Steady-state Add
+// allocates nothing.
+func TestPartialAddSlotMemo(t *testing.T) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleSmall))
+	r := rng.New(29)
+	p := NewPartial()
+
+	var stream []Record
+	for _, phase := range []struct {
+		name string
+		run  int
+	}{{"changing source", 1}, {"repeating source", 12}} {
+		for _, rec := range sourceRuns(t, topo, r, 3000, phase.run) {
+			p.Add(rec)
+			stream = append(stream, rec)
+		}
+		checkPartialFolds(t, phase.name, p, stream)
+	}
+
+	// After Reset, the first record carries the key every memo last
+	// saw: a memo surviving Reset would add into a cleared slot.
+	last := stream[len(stream)-1]
+	p.Reset()
+	after := append([]Record{last, stream[0]}, sourceRuns(t, topo, r, 500, 6)...)
+	for _, rec := range after {
+		p.Add(rec)
+	}
+	checkPartialFolds(t, "after Reset", p, after)
+
+	// Decode a cell into the used partial, then keep adding records that
+	// start on the key the memos hold.
+	cell := sourceRuns(t, topo, r, 800, 6)
+	src := NewPartial()
+	for _, rec := range cell {
+		src.Add(rec)
+	}
+	if err := p.DecodeBinary(src.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	more := append([]Record{after[len(after)-1]}, sourceRuns(t, topo, r, 500, 6)...)
+	for _, rec := range more {
+		p.Add(rec)
+	}
+	checkPartialFolds(t, "after decode", p, append(cell, more...))
+
+	if a := testing.AllocsPerRun(20, func() {
+		p.Reset()
+		for _, rec := range stream {
+			p.Add(rec)
+		}
+	}); a != 0 {
+		t.Fatalf("steady-state Add allocated %v times per pass, want 0", a)
 	}
 }

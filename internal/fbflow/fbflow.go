@@ -35,13 +35,16 @@ type sample struct {
 	weight float64 // inverse sampling probability, in packets
 }
 
-// Record is one tagged sample: the unit stored for analysis.
+// Record is one tagged sample: the unit stored for analysis. Rack,
+// cluster and datacenter IDs are int32 (Load caps rack IDs below 2^17 and
+// cluster IDs below 2^12), which keeps the record at 64 bytes: the fleet
+// collector copies one per sampled flow.
 type Record struct {
 	Minute                 int64
 	Src, Dst               topology.HostID
-	SrcRack, DstRack       int
-	SrcCluster, DstCluster int
-	SrcDC, DstDC           int
+	SrcRack, DstRack       int32
+	SrcCluster, DstCluster int32
+	SrcDC, DstDC           int32
 	SrcRole, DstRole       topology.Role
 	SrcClusterType         topology.ClusterType
 	Locality               topology.Locality
@@ -56,7 +59,7 @@ type Record struct {
 // (rack, cluster, DC, roles) are pure functions of Src/Dst and fold
 // implicitly through them. No-op on a nil hash — the audit-off fast
 // path of the fleet emit loop.
-func (r Record) FoldAudit(h *audit.Hash) {
+func (r *Record) FoldAudit(h *audit.Hash) {
 	if !h.Enabled() {
 		return
 	}
@@ -115,12 +118,12 @@ func (t *Tagger) Header(minute int64, hdr packet.Header, weight float64) (Record
 		Minute:         minute,
 		Src:            src,
 		Dst:            dst,
-		SrcRack:        srcRack,
-		DstRack:        dstRack,
-		SrcCluster:     sr.Cluster,
-		DstCluster:     dr.Cluster,
-		SrcDC:          srcDC,
-		DstDC:          dstDC,
+		SrcRack:        int32(srcRack),
+		DstRack:        int32(dstRack),
+		SrcCluster:     int32(sr.Cluster),
+		DstCluster:     int32(dr.Cluster),
+		SrcDC:          int32(srcDC),
+		DstDC:          int32(dstDC),
 		SrcRole:        sr.Role,
 		DstRole:        dr.Role,
 		SrcClusterType: topo.Clusters[sr.Cluster].Type,

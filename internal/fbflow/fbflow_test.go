@@ -63,10 +63,10 @@ func TestTaggerAnnotation(t *testing.T) {
 		t.Fatalf("records %d", len(recs))
 	}
 	r := recs[0]
-	if r.SrcRack != src.Rack || r.DstRack != dst.Rack {
+	if int(r.SrcRack) != src.Rack || int(r.DstRack) != dst.Rack {
 		t.Error("rack annotation wrong")
 	}
-	if r.SrcCluster != src.Cluster || r.SrcDC != src.Datacenter {
+	if int(r.SrcCluster) != src.Cluster || int(r.SrcDC) != src.Datacenter {
 		t.Error("cluster/DC annotation wrong")
 	}
 	if r.SrcRole != src.Role || r.DstRole != dst.Role {

@@ -39,6 +39,14 @@ type Partial struct {
 	rackCross    openhash.Table[float64] // uint64(rack)
 	clusterCross openhash.Table[float64] // uint64(cluster)
 
+	// Memos of the last slot Add used in the four tables keyed by source
+	// or minute. A cell's records arrive grouped by source host, so runs
+	// of records hit the same key and skip the probe. A memo holds the
+	// pointer its table's most recent Slot returned, so it stays valid
+	// until Reset, which clears it; only Add and DecodeBinary (which
+	// Resets first) insert into these tables.
+	minuteMemo, hostMemo, rackCrossMemo, clusterCrossMemo slotMemo
+
 	// card, when enabled, tracks distinct flow/host/rack populations
 	// alongside the byte aggregates (sketch mode). Nil costs one
 	// predicted branch per record.
@@ -57,8 +65,24 @@ func (p *Partial) EnableCardinality() {
 	}
 }
 
+// slotMemo remembers one (key, slot) pair of a table.
+type slotMemo struct {
+	key  uint64
+	slot *float64
+}
+
+// in returns t's slot for k, probing t only when k differs from the
+// remembered key. A hit skips Slot on a key t already holds, which
+// changes neither the table nor its insertion order.
+func (m *slotMemo) in(t *openhash.Table[float64], k uint64) *float64 {
+	if m.slot == nil || m.key != k {
+		m.key, m.slot = k, t.Slot(k)
+	}
+	return m.slot
+}
+
 // packPair packs an ordered (src, dst) index pair into one table key.
-func packPair(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+func packPair(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
 // unpackPair inverts packPair.
 func unpackPair(k uint64) (src, dst int) { return int(int32(k >> 32)), int(int32(uint32(k))) }
@@ -70,12 +94,12 @@ func (p *Partial) Add(r Record) {
 	p.byClusterType[r.SrcClusterType] += r.Bytes
 	*p.rackPair.Slot(packPair(r.SrcRack, r.DstRack)) += r.Bytes
 	*p.clusterPair.Slot(packPair(r.SrcCluster, r.DstCluster)) += r.Bytes
-	*p.perMinute.Slot(uint64(r.Minute)) += r.Bytes
-	*p.hostOut.Slot(uint64(r.Src)) += r.Bytes
+	*p.minuteMemo.in(&p.perMinute, uint64(r.Minute)) += r.Bytes
+	*p.hostMemo.in(&p.hostOut, uint64(r.Src)) += r.Bytes
 	if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
-		*p.rackCross.Slot(uint64(r.SrcRack)) += r.Bytes
+		*p.rackCrossMemo.in(&p.rackCross, uint64(r.SrcRack)) += r.Bytes
 		if r.Locality != topology.IntraCluster {
-			*p.clusterCross.Slot(uint64(r.SrcCluster)) += r.Bytes
+			*p.clusterCrossMemo.in(&p.clusterCross, uint64(r.SrcCluster)) += r.Bytes
 		}
 	}
 	if p.card != nil {
@@ -95,6 +119,7 @@ func (p *Partial) Reset() {
 	p.hostOut.Reset()
 	p.rackCross.Reset()
 	p.clusterCross.Reset()
+	p.minuteMemo, p.hostMemo, p.rackCrossMemo, p.clusterCrossMemo = slotMemo{}, slotMemo{}, slotMemo{}, slotMemo{}
 	if p.card != nil {
 		p.card.Reset()
 	}

@@ -170,10 +170,11 @@ func Load(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.clusterPair.Get(packPair(a, b)) != nil {
+		key := packPair(int32(a), int32(b))
+		if d.clusterPair.Get(key) != nil {
 			return nil, repeated("cluster pair", k)
 		}
-		*d.clusterPair.Slot(packPair(a, b)) = v
+		*d.clusterPair.Slot(key) = v
 	}
 	for k, v := range doc.PerMinute {
 		m, err := parseID(k, "minute", math.MaxInt)

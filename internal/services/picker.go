@@ -19,8 +19,10 @@ import (
 // so the Picker holds no per-host state of its own and costs nothing to
 // build at any fleet size. Sets are read-only and the Picker is safe to
 // share across the parallel engine's trace-bundle and fleet-shard
-// workers. Selection is O(log racks-of-role) per draw: each HostSet
-// index is a binary search over the role's rack prefix sums.
+// workers. Selection is O(1) per draw when the role's racks share one
+// size (every preset), since HostSet indexing is then a division by that
+// size; with mixed rack sizes each index is a binary search over the
+// role's rack prefix sums, O(log racks-of-role).
 //
 // The selection logic and its rng consumption are identical to the
 // pre-columnar picker: every draw happens in the same order against a set

@@ -220,10 +220,13 @@ type Topology struct {
 	// cluster are contiguous in rack order and clusters of one datacenter
 	// likewise, roleClusterOff[r][c] / roleDCOff[r][d] delimit the
 	// subranges of roleRacks[r] belonging to cluster c / datacenter d.
+	// roleHPR[r] is the host count every rack of role r shares, or 0 when
+	// their sizes differ (or the role has no racks).
 	roleRacks      [numRoles][]int32
 	roleCum        [numRoles][]int32
 	roleClusterOff [numRoles][]int32
 	roleDCOff      [numRoles][]int32
+	roleHPR        [numRoles]int32
 }
 
 // NumHosts returns the fleet size.
@@ -295,9 +298,12 @@ func (t *Topology) Locality(src, dst HostID) Locality {
 
 // HostSet is a read-only view of a contiguous range of one role's host
 // order — the columnar replacement for materialized []HostID peer sets.
-// Indexing costs a binary search over the role's rack prefix sums
-// (O(log racks-of-role)); the set itself is four words regardless of
-// member count.
+// When every rack of the role holds the same number of hosts (as in every
+// preset) indexing is O(1): a division by that rack size. Otherwise it
+// falls back to a binary search over the role's rack prefix sums
+// (O(log racks-of-role)). Build picks the path from the rack sizes of its
+// Config; both enumerate the same hosts. The set itself is four words
+// regardless of member count.
 type HostSet struct {
 	t     *Topology
 	role  Role
@@ -311,6 +317,9 @@ func (s HostSet) Len() int { return int(s.n) }
 // At returns the i-th host of the set.
 func (s HostSet) At(i int) HostID {
 	pos := s.start + int32(i)
+	if u := s.t.roleHPR[s.role]; u > 0 {
+		return s.t.Racks[s.t.roleRacks[s.role][pos/u]].FirstHost + HostID(pos%u)
+	}
 	cum := s.t.roleCum[s.role]
 	lo, hi := 0, len(cum)-1 // invariant: cum[lo] <= pos < cum[hi]
 	for hi-lo > 1 {
@@ -558,19 +567,28 @@ func Build(cfg Config) (*Topology, error) {
 	return t, nil
 }
 
-// buildRoleIndex derives the role prefix sums and cluster/datacenter
-// subrange offsets from roleRacks. It relies on two Build invariants:
-// rack IDs are assigned in cluster order (so each role's rack list is
-// partitioned into contiguous per-cluster runs) and cluster IDs in
-// datacenter order (likewise per-datacenter runs).
+// buildRoleIndex derives the role prefix sums, shared rack sizes and
+// cluster/datacenter subrange offsets from roleRacks. It relies on two
+// Build invariants: rack IDs are assigned in cluster order (so each
+// role's rack list is partitioned into contiguous per-cluster runs) and
+// cluster IDs in datacenter order (likewise per-datacenter runs).
 func (t *Topology) buildRoleIndex() {
 	for role := Role(0); role < numRoles; role++ {
 		rr := t.roleRacks[role]
 		cum := make([]int32, len(rr)+1)
+		hpr := int32(0)
 		for j, rid := range rr {
-			cum[j+1] = cum[j] + t.Racks[rid].NumHosts
+			n := t.Racks[rid].NumHosts
+			cum[j+1] = cum[j] + n
+			switch {
+			case j == 0:
+				hpr = n
+			case n != hpr:
+				hpr = -1
+			}
 		}
 		t.roleCum[role] = cum
+		t.roleHPR[role] = max(hpr, 0)
 
 		cOff := make([]int32, len(t.Clusters)+1)
 		j := 0

@@ -277,12 +277,49 @@ func refBuild(top *Topology) []refHost {
 	return hosts
 }
 
+// mixedRackConfig holds two Frontend clusters with 3 and 5 hosts per
+// rack, so every Frontend role mixes rack sizes, beside uniform Hadoop,
+// Cache and DB clusters.
+func mixedRackConfig() Config {
+	return Config{Sites: []SiteSpec{{Datacenters: []DatacenterSpec{
+		{Clusters: []ClusterSpec{
+			{Type: ClusterFrontend, Racks: 8, HostsPerRack: 3},
+			{Type: ClusterHadoop, Racks: 3, HostsPerRack: 4},
+		}},
+		{Clusters: []ClusterSpec{
+			{Type: ClusterFrontend, Racks: 6, HostsPerRack: 5},
+			{Type: ClusterCache, Racks: 2, HostsPerRack: 2},
+			{Type: ClusterDB, Racks: 1, HostsPerRack: 7},
+		}},
+	}}}}
+}
+
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
+// columnarCases are the configs the columnar tests cover: two presets,
+// whose roles all have uniform rack sizes, and the mixed config.
+func columnarCases() []namedConfig {
+	return []namedConfig{
+		{"tiny", Preset(ScaleTiny)},
+		{"small", Preset(ScaleSmall)},
+		{"mixed", mixedRackConfig()},
+	}
+}
+
 // TestColumnarMatchesReferenceAoS is the property test of the columnar
 // refactor: every SoA accessor and role set must agree host-for-host
-// with a reference array-of-structs build on the tiny and small presets.
+// with a reference array-of-structs build on the tiny and small presets
+// and on a config with mixed rack sizes. Role sets are checked on the
+// topology as built (O(1) indexing for uniform roles, binary search for
+// mixed ones) and again with the shared rack sizes cleared, which forces
+// the binary search for every role.
 func TestColumnarMatchesReferenceAoS(t *testing.T) {
-	for _, sc := range []Scale{ScaleTiny, ScaleSmall} {
-		top := MustBuild(Preset(sc))
+	for _, tc := range columnarCases() {
+		sc := tc.name
+		top := MustBuild(tc.cfg)
 		ref := refBuild(top)
 		if len(ref) != top.NumHosts() {
 			t.Fatalf("%v: reference has %d hosts, topology %d", sc, len(ref), top.NumHosts())
@@ -310,39 +347,48 @@ func TestColumnarMatchesReferenceAoS(t *testing.T) {
 				t.Fatalf("%v host %d: materialized view %+v disagrees with reference %+v", sc, i, v, rh)
 			}
 		}
-		// Role sets — fleet-wide, per cluster, per DC — must enumerate the
-		// same ascending host IDs a brute-force scan of the reference does.
-		for _, role := range Roles {
-			var brute []HostID
-			for i, rh := range ref {
-				if rh.role == role {
-					brute = append(brute, HostID(i))
+		checkRoleSets(t, sc+" as built", top, ref)
+		searched := *top
+		searched.roleHPR = [numRoles]int32{}
+		checkRoleSets(t, sc+" binary search", &searched, ref)
+	}
+}
+
+// checkRoleSets asserts that the role sets of top — fleet-wide, per
+// cluster, per DC — enumerate the same ascending host IDs a brute-force
+// scan of the reference does.
+func checkRoleSets(t *testing.T, sc string, top *Topology, ref []refHost) {
+	t.Helper()
+	for _, role := range Roles {
+		var brute []HostID
+		for i, rh := range ref {
+			if rh.role == role {
+				brute = append(brute, HostID(i))
+			}
+		}
+		checkSet(t, sc, role, "fleet", top.RoleSet(role), brute)
+		for c := range top.Clusters {
+			var want []HostID
+			for _, h := range brute {
+				if ref[h].cluster == c {
+					want = append(want, h)
 				}
 			}
-			checkSet(t, sc, role, "fleet", top.RoleSet(role), brute)
-			for c := range top.Clusters {
-				var want []HostID
-				for _, h := range brute {
-					if ref[h].cluster == c {
-						want = append(want, h)
-					}
+			checkSet(t, sc, role, "cluster", top.RoleSetInCluster(role, c), want)
+		}
+		for d := range top.Datacenters {
+			var want []HostID
+			for _, h := range brute {
+				if ref[h].dc == d {
+					want = append(want, h)
 				}
-				checkSet(t, sc, role, "cluster", top.RoleSetInCluster(role, c), want)
 			}
-			for d := range top.Datacenters {
-				var want []HostID
-				for _, h := range brute {
-					if ref[h].dc == d {
-						want = append(want, h)
-					}
-				}
-				checkSet(t, sc, role, "dc", top.RoleSetInDC(role, d), want)
-			}
+			checkSet(t, sc, role, "dc", top.RoleSetInDC(role, d), want)
 		}
 	}
 }
 
-func checkSet(t *testing.T, sc Scale, role Role, scope string, set HostSet, want []HostID) {
+func checkSet(t *testing.T, sc string, role Role, scope string, set HostSet, want []HostID) {
 	t.Helper()
 	if set.Len() != len(want) {
 		t.Fatalf("%v %v %s set: %d hosts, want %d", sc, role, scope, set.Len(), len(want))
@@ -354,5 +400,33 @@ func checkSet(t *testing.T, sc Scale, role Role, scope string, set HostSet, want
 	}
 	if got := set.AppendTo(nil); len(got) != len(want) {
 		t.Fatalf("%v %v %s AppendTo: %d hosts, want %d", sc, role, scope, len(got), len(want))
+	}
+}
+
+// TestRoleRackSize: roleHPR is the rack size a role's racks share, and 0
+// exactly for roles whose racks differ in size (or that have no racks),
+// which is what sends HostSet.At to the binary search.
+func TestRoleRackSize(t *testing.T) {
+	mixed := 0
+	for _, tc := range columnarCases() {
+		top := MustBuild(tc.cfg)
+		for _, role := range Roles {
+			sizes := map[int32]bool{}
+			want := int32(0)
+			for _, rid := range top.RoleRacks(role) {
+				want = top.Racks[rid].NumHosts
+				sizes[want] = true
+			}
+			if len(sizes) > 1 {
+				want = 0
+				mixed++
+			}
+			if got := top.roleHPR[role]; got != want {
+				t.Errorf("%s %v: roleHPR %d, want %d (rack sizes %v)", tc.name, role, got, want, sizes)
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no role mixes rack sizes; the binary-search path goes untested")
 	}
 }
