@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"fbdcnet/internal/baseline"
@@ -184,7 +183,7 @@ func (s *System) ExtensionOversubAllToAll(factors []float64, seconds int) *Overs
 		baseline.GenerateAllToAll(s.Topo, h, s.Cfg.Seed^0xa2a^uint64(h),
 			baseline.DefaultAllToAllParams(), netsim.Time(seconds)*netsim.Second, collect)
 	}
-	sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
+	packet.SortByTime(hdrs)
 	res := s.oversubSweep(topology.RoleHadoop, rack, hdrs, factors, seconds)
 	res.Workload = "all-to-all baseline"
 	return res
@@ -240,7 +239,7 @@ func (s *System) rackWindow(rack, seconds int, salt uint64, boost float64) []pac
 		tr := services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect)
 		tr.Run(netsim.Time(seconds) * netsim.Second)
 	}
-	sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
+	packet.SortByTime(hdrs)
 	return hdrs
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fbdcnet/internal/analysis"
@@ -97,7 +96,7 @@ func (s *System) degradedHeaders() []packet.Header {
 				tr.Run(horizon)
 			}
 		}
-		sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
+		packet.SortByTime(hdrs)
 		s.degradedHdrs = hdrs
 		for _, h := range hdrs {
 			if h.Key.Src == h.Key.Dst {
@@ -159,7 +158,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 
 	// The delivered stream is ordered by delivery time; the analyses bin
 	// by the header timestamp, so restore that order first.
-	sort.SliceStable(delivered, func(i, j int) bool { return delivered[i].Time < delivered[j].Time })
+	packet.SortByTime(delivered)
 
 	m := DegradedMetrics{LocalityBytes: map[string]float64{}}
 	hhRack := analysis.NewHeavyHitters(s.Topo, focus, analysis.LevelRack, netsim.Millisecond)

@@ -48,6 +48,7 @@ func TestDegradedCSWDownAcceptance(t *testing.T) {
 // which kills the only path out of the focus rack for longer than the
 // retransmission budget — actually loses traffic.
 func TestDegradedScenarioSweep(t *testing.T) {
+	t.Parallel() // builds its own System; overlaps the multi-suite checks
 	s := MustNewSystem(QuickConfig())
 	rs := s.DegradedScenarios()
 	if len(rs) != len(netsim.FaultScenarios()) {

@@ -15,6 +15,7 @@ import (
 // fabric and with a non-empty fault schedule in play. Worker count may
 // only change wall-clock, never a single float.
 func TestParallelDeterminism(t *testing.T) {
+	t.Parallel() // builds its own Systems; overlaps the other multi-suite checks
 	for _, scenario := range []string{"", netsim.ScenarioCSWDown} {
 		var want []byte
 		for _, workers := range []int{1, 2, 8} {
@@ -92,6 +93,7 @@ func TestFleetMatrixDeterminism(t *testing.T) {
 		// coverage job runs this without the detector.
 		t.Skip("skipping multi-suite matrix determinism check under -race")
 	}
+	t.Parallel() // builds its own Systems; overlaps the other multi-suite checks
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
 		cfg := QuickConfig()

@@ -19,6 +19,7 @@ func TestSketchParallelDeterminism(t *testing.T) {
 		// coverage job runs this without the detector.
 		t.Skip("skipping sketch-mode determinism matrix under -race")
 	}
+	t.Parallel() // builds its own Systems; overlaps the other multi-suite checks
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
 		cfg := QuickConfig()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fbdcnet/internal/analysis"
@@ -97,7 +96,7 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 				tr.Run(winDur)
 			}
 		}
-		sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
+		packet.SortByTime(hdrs)
 		for _, h := range hdrs {
 			h := h
 			h.Time += int64(start)

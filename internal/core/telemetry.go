@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync"
 
@@ -216,7 +215,7 @@ func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w 
 		tr := services.NewTrace(s.Pick, h, seed, params, collect)
 		tr.Run(winDur)
 	}
-	sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
+	packet.SortByTime(hdrs)
 	for _, h := range hdrs {
 		h := h
 		eng.At(h.Time, func() { fab.Inject(h) })

@@ -40,6 +40,7 @@ func TestTelemetryNoPerturbation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("suite perturbation check skipped under the race detector")
 	}
+	t.Parallel() // builds its own Systems; overlaps the other multi-suite checks
 	skip := map[string]bool{"figure15": true, "ext-oversub": true}
 	for _, workers := range []int{1, 8} {
 		run := func(rate float64) (string, []byte) {

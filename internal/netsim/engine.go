@@ -38,14 +38,23 @@ func (e event) before(o event) bool {
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use.
 //
-// The event queue is a typed binary min-heap with inlined sift-up and
-// sift-down: scheduling and dispatch are the simulator's hottest path,
-// and the container/heap API would box every event through interface{}
-// (two heap allocations per event, one on Push and one on Pop).
+// Events live in two queues. An event scheduled no earlier than the
+// newest event in the FIFO run goes to the back of the run; any other
+// goes into a typed binary min-heap with inlined sift-up and sift-down.
+// The run stays sorted because sequence numbers only grow, so dispatch
+// takes the earlier of the two heads and sees the same order one heap
+// would give. Workloads scheduled up front in time order (injected
+// traces) then sit in the run, and the heap holds only the events
+// scheduled while the simulation runs, which keeps it small. Scheduling
+// and dispatch are the simulator's hottest path, and the container/heap
+// API would box every event through interface{} (two heap allocations
+// per event, one on Push and one on Pop).
 type Engine struct {
-	now  Time
-	seq  uint64
-	heap []event
+	now     Time
+	seq     uint64
+	heap    []event
+	run     []event
+	runHead int // run[:runHead] is dispatched
 }
 
 // Now returns the current simulation time.
@@ -58,7 +67,12 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.heap = append(e.heap, event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	if n := len(e.run); n == e.runHead || t >= e.run[n-1].at {
+		e.run = append(e.run, ev)
+		return
+	}
+	e.heap = append(e.heap, ev)
 	e.siftUp(len(e.heap) - 1)
 }
 
@@ -80,7 +94,31 @@ func (e *Engine) siftUp(i int) {
 	h[i] = ev
 }
 
-// pop removes and returns the earliest event. The queue must be
+// next removes and returns the earliest queued event; ok is false when
+// both queues are empty or that event is later than until.
+func (e *Engine) next(until Time) (ev event, ok bool) {
+	if e.runHead < len(e.run) {
+		r := &e.run[e.runHead]
+		if len(e.heap) == 0 || r.before(e.heap[0]) {
+			if r.at > until {
+				return event{}, false
+			}
+			ev = *r
+			*r = event{} // drop the fn reference so the closure can be collected
+			e.runHead++
+			if e.runHead == len(e.run) {
+				e.run, e.runHead = e.run[:0], 0
+			}
+			return ev, true
+		}
+	}
+	if len(e.heap) == 0 || e.heap[0].at > until {
+		return event{}, false
+	}
+	return e.pop(), true
+}
+
+// pop removes and returns the earliest heap event. The heap must be
 // non-empty.
 func (e *Engine) pop() event {
 	h := e.heap
@@ -114,8 +152,11 @@ func (e *Engine) pop() event {
 // event is later than until. It returns the number of events executed.
 func (e *Engine) Run(until Time) int {
 	n := 0
-	for len(e.heap) > 0 && e.heap[0].at <= until {
-		ev := e.pop()
+	for {
+		ev, ok := e.next(until)
+		if !ok {
+			break
+		}
 		e.now = ev.at
 		ev.fn()
 		n++
@@ -127,4 +168,4 @@ func (e *Engine) Run(until Time) int {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.run) - e.runHead }
