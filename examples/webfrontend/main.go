@@ -63,10 +63,11 @@ func main() {
 	ds := fbflow.NewDataset()
 	pipe := fbflow.NewPipeline(topo, 2, ds.Add)
 	r := rng.New(1)
+	prog := services.NewFleetProgram(sys.Pick, services.DefaultParams())
 	for _, rid := range topo.Clusters[fe].Racks {
 		for i := 0; i < int(topo.Racks[rid].NumHosts); i++ {
 			h := topo.Racks[rid].Host(i)
-			sys.Pick.FleetFlows(services.DefaultParams(), r, h, 60, 1.0, 8,
+			prog.Flows(r, h, 60, 1.0, 8,
 				func(dst topology.HostID, bytes float64) {
 					pipe.AddFlow(0, topo.Addr(h), topo.Addr(dst), bytes)
 				})

@@ -19,10 +19,8 @@ import (
 // ACK traffic).
 const wireOverhead = 1.18
 
-// dstScope names the locality tier a traffic component targets. It is the
-// declarative counterpart of the Picker's *Peer methods, consumed by the
-// traffic-matrix synthesis mode, which needs the destination distribution
-// as data (rack ranges and weights) rather than as a sampling closure.
+// dstScope names the locality tier a traffic component targets; each
+// scope is served by one Picker method (see Picker.sample).
 type dstScope uint8
 
 const (
@@ -33,128 +31,73 @@ const (
 	scopeRemote
 )
 
-// dstTerm is one declarative component of a mix entry's destination
-// distribution: a fraction of the entry's bytes addressed to hosts of one
-// role at one locality scope. The terms of an entry sum to 1 and mirror
-// the branch probabilities inside the corresponding pickDst closure
-// (FleetPeer's localBias, MiscPeer's 0.55/0.25/0.20 split, Web egress's
-// 0.7 remote preference), so matrix-mode marginals match sampling-mode
-// expectations.
+// dstTerm is one component of a mix entry's destination distribution: a
+// fraction of the entry's bytes addressed to hosts of one role at one
+// locality scope. A fleet term carries FleetPeer's local-datacenter
+// preference in localBias; a rack term's role is the source's own. The
+// terms of an entry sum to 1. Sampling mode draws from them with
+// Picker.sample; matrix mode packs each term's share of the bytes.
 type dstTerm struct {
-	frac  float64
-	scope dstScope
-	role  topology.Role
+	frac      float64
+	scope     dstScope
+	role      topology.Role
+	localBias float64
 }
 
-// miscDst is the declarative form of Picker.MiscPeer.
-var miscDst = []dstTerm{
-	{0.55, scopeCluster, topology.RoleMisc},
-	{0.25, scopeDC, topology.RoleMisc},
-	{0.20, scopeFleet, topology.RoleMisc},
+// to is the single-term distribution "every byte to role at scope".
+func to(scope dstScope, role topology.Role) []dstTerm {
+	return []dstTerm{{1, scope, role, 0}}
 }
 
-// fleetDst is the declarative form of Picker.FleetPeer(role, localBias).
+// fleetDst is the distribution of Picker.FleetPeer(role, localBias).
 func fleetDst(role topology.Role, localBias float64) []dstTerm {
-	if localBias <= 0 {
-		return []dstTerm{{1, scopeFleet, role}}
-	}
-	return []dstTerm{
-		{localBias, scopeDC, role},
-		{1 - localBias, scopeFleet, role},
-	}
+	return []dstTerm{{1, scopeFleet, role, localBias}}
+}
+
+// miscDst is the Service-cluster locality mix of Picker.MiscPeer.
+var miscDst = []dstTerm{
+	{0.55, scopeCluster, topology.RoleMisc, 0},
+	{0.25, scopeDC, topology.RoleMisc, 0},
+	{0.20, scopeFleet, topology.RoleMisc, 0},
 }
 
 // mixEntry is one component of a role's outbound traffic: a mean byte
-// rate, a destination sampler (sampling mode), and the equivalent
-// declarative destination distribution (matrix mode).
+// rate and its destination distribution.
 type mixEntry struct {
 	bytesPerSec float64
-	pickDst     func(r *rng.Source, src topology.HostID) topology.HostID
 	dst         []dstTerm
 }
 
 // fleetMix returns the outbound traffic composition of one role,
 // mirroring the trace-mode loops (and hence Table 2).
-func (pk *Picker) fleetMix(p Params, role topology.Role) []mixEntry {
+func fleetMix(p Params, role topology.Role) []mixEntry {
 	switch role {
 	case topology.RoleWeb:
 		return []mixEntry{
 			{p.WebUserReqPerSec * (p.WebCacheReadsPerReq*cacheReadReqBytes.Mean() + p.WebCacheWritesPerReq*cacheWriteBytes.Mean()),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleCacheFollower)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleCacheFollower}}},
-			{p.WebUserReqPerSec * p.WebMFOpsPerReq * mfReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleMultifeed)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleMultifeed}}},
-			{p.WebUserReqPerSec * slbControlBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleSLB)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleSLB}}},
+				to(scopeCluster, topology.RoleCacheFollower)},
+			{p.WebUserReqPerSec * p.WebMFOpsPerReq * mfReqBytes.Mean(), to(scopeCluster, topology.RoleMultifeed)},
+			{p.WebUserReqPerSec * slbControlBytes.Mean(), to(scopeCluster, topology.RoleSLB)},
 			{p.WebUserReqPerSec * egressReplyBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					if r.Bool(0.7) {
-						return pk.RemotePeer(r, src, topology.RoleMisc)
-					}
-					return pk.DCPeer(r, src, topology.RoleMisc)
-				},
-				[]dstTerm{{0.7, scopeRemote, topology.RoleMisc}, {0.3, scopeDC, topology.RoleMisc}}},
-			{p.WebEphemeralPerSec * miscReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+				[]dstTerm{{0.7, scopeRemote, topology.RoleMisc, 0}, {0.3, scopeDC, topology.RoleMisc, 0}}},
+			{p.WebEphemeralPerSec * miscReqBytes.Mean(), miscDst},
 		}
 	case topology.RoleCacheFollower:
 		return []mixEntry{
 			{p.CacheReadPerSec*cacheReadRespBytes.Mean() + p.CacheWritePerSec*cacheWriteAckBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleWeb)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleWeb}}},
-			{p.CacheLeaderSyncPerSec * leaderSyncReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleCacheLeader, 0.6)
-				},
-				fleetDst(topology.RoleCacheLeader, 0.6)},
-			{p.CacheEphemeralPerSec * miscReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+				to(scopeCluster, topology.RoleWeb)},
+			{p.CacheLeaderSyncPerSec * leaderSyncReqBytes.Mean(), fleetDst(topology.RoleCacheLeader, 0.6)},
+			{p.CacheEphemeralPerSec * miscReqBytes.Mean(), miscDst},
 		}
 	case topology.RoleCacheLeader:
 		fillOut := p.LeaderFillPerSec * (0.6*leaderFillBytes.Mean() + 0.4*leaderInvalBytes.Mean())
 		missOut := p.LeaderMissInPerSec * leaderFillBytes.Mean()
 		return []mixEntry{
-			{fillOut + missOut,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleCacheFollower, 0.6)
-				},
-				fleetDst(topology.RoleCacheFollower, 0.6)},
-			{p.LeaderPeerSyncPerSec * leaderPeerBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleCacheLeader)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleCacheLeader}}},
-			{p.LeaderDBOpsPerSec * dbQueryBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleDB, 0.5)
-				},
-				fleetDst(topology.RoleDB, 0.5)},
-			{p.LeaderMFPerSec * leaderFillBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.DCPeer(r, src, topology.RoleMultifeed)
-				},
-				[]dstTerm{{1, scopeDC, topology.RoleMultifeed}}},
-			{p.LeaderEphemeralPerSec * miscReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+			{fillOut + missOut, fleetDst(topology.RoleCacheFollower, 0.6)},
+			{p.LeaderPeerSyncPerSec * leaderPeerBytes.Mean(), to(scopeCluster, topology.RoleCacheLeader)},
+			{p.LeaderDBOpsPerSec * dbQueryBytes.Mean(), fleetDst(topology.RoleDB, 0.5)},
+			{p.LeaderMFPerSec * leaderFillBytes.Mean(), to(scopeDC, topology.RoleMultifeed)},
+			{p.LeaderEphemeralPerSec * miscReqBytes.Mean(), miscDst},
 		}
 	case topology.RoleHadoop:
 		duty := p.HadoopBusyMeanSec / (p.HadoopBusyMeanSec + p.HadoopQuietMeanSec)
@@ -170,91 +113,35 @@ func (pk *Picker) fleetMix(p Params, role topology.Role) []mixEntry {
 		// far less read locality than the busy shuffle a short trace
 		// catches (§4.3).
 		return []mixEntry{
-			{dataOut * 0.14,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.RackPeer(r, src)
-				},
-				[]dstTerm{{1, scopeRack, topology.RoleHadoop}}},
-			{dataOut * 0.835,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleHadoop)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleHadoop}}},
-			{dataOut * 0.017,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleMisc, 0.55)
-				},
-				fleetDst(topology.RoleMisc, 0.55)},
-			{p.HadoopQuietFlowPerSec * hadoopControlBytes.Mean() * 0.5,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleHadoop)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleHadoop}}},
+			{dataOut * 0.14, to(scopeRack, topology.RoleHadoop)},
+			{dataOut * 0.835, to(scopeCluster, topology.RoleHadoop)},
+			{dataOut * 0.017, fleetDst(topology.RoleMisc, 0.55)},
+			{p.HadoopQuietFlowPerSec * hadoopControlBytes.Mean() * 0.5, to(scopeCluster, topology.RoleHadoop)},
 		}
 	case topology.RoleMultifeed:
 		return []mixEntry{
-			{p.MFReqPerSec * mfRespBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleWeb)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleWeb}}},
-			{p.MiscFlowPerSec / 4 * miscReqBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+			{p.MFReqPerSec * mfRespBytes.Mean(), to(scopeCluster, topology.RoleWeb)},
+			{p.MiscFlowPerSec / 4 * miscReqBytes.Mean(), miscDst},
 		}
 	case topology.RoleSLB:
 		return []mixEntry{
-			{p.SLBReqPerSec * slbRequestBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleWeb)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleWeb}}},
-			{p.SLBReqPerSec / 2 * slbControlBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleMisc, 0.5)
-				},
-				fleetDst(topology.RoleMisc, 0.5)},
+			{p.SLBReqPerSec * slbRequestBytes.Mean(), to(scopeCluster, topology.RoleWeb)},
+			{p.SLBReqPerSec / 2 * slbControlBytes.Mean(), fleetDst(topology.RoleMisc, 0.5)},
 		}
 	case topology.RoleDB:
 		return []mixEntry{
-			{p.DBQueryPerSec * dbResultBytes.Mean(),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.FleetPeer(r, src, topology.RoleCacheLeader, 0.5)
-				},
-				fleetDst(topology.RoleCacheLeader, 0.5)},
-			{p.DBReplPerSec * dbReplBytes.Mean() / 3,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.ClusterPeer(r, src, topology.RoleDB)
-				},
-				[]dstTerm{{1, scopeCluster, topology.RoleDB}}},
-			{p.DBReplPerSec * dbReplBytes.Mean() / 3,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.DCPeer(r, src, topology.RoleDB)
-				},
-				[]dstTerm{{1, scopeDC, topology.RoleDB}}},
-			{p.DBReplPerSec * dbReplBytes.Mean() / 3,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.RemotePeer(r, src, topology.RoleDB)
-				},
-				[]dstTerm{{1, scopeRemote, topology.RoleDB}}},
+			{p.DBQueryPerSec * dbResultBytes.Mean(), fleetDst(topology.RoleCacheLeader, 0.5)},
+			{p.DBReplPerSec * dbReplBytes.Mean() / 3, to(scopeCluster, topology.RoleDB)},
+			{p.DBReplPerSec * dbReplBytes.Mean() / 3, to(scopeDC, topology.RoleDB)},
+			{p.DBReplPerSec * dbReplBytes.Mean() / 3, to(scopeRemote, topology.RoleDB)},
 		}
 	case topology.RoleMisc:
 		return []mixEntry{
-			{p.MiscFlowPerSec * 0.5 * (miscReqBytes.Mean() + miscRespBytes.Mean()),
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+			{p.MiscFlowPerSec * 0.5 * (miscReqBytes.Mean() + miscRespBytes.Mean()), miscDst},
 			// Bulk service-to-service synchronization (index shards,
 			// feature stores, log shipping): the reason Service clusters
 			// carry the third-largest traffic share in Table 3.
-			{p.MiscBulkBytesPerSec,
-				func(r *rng.Source, src topology.HostID) topology.HostID {
-					return pk.MiscPeer(r, src)
-				},
-				miscDst},
+			{p.MiscBulkBytesPerSec, miscDst},
 		}
 	default:
 		return nil
@@ -263,32 +150,54 @@ func (pk *Picker) fleetMix(p Params, role topology.Role) []mixEntry {
 
 // FleetRate returns the mean outbound on-wire bytes per second for one
 // host of the given role.
-func (pk *Picker) FleetRate(p Params, role topology.Role) float64 {
+func FleetRate(p Params, role topology.Role) float64 {
 	total := 0.0
-	for _, m := range pk.fleetMix(p, role) {
+	for _, m := range fleetMix(p, role) {
 		total += m.bytesPerSec
 	}
 	return total * wireOverhead
 }
 
-// FleetFlows synthesizes flow-granularity outbound traffic of host src
-// over a window of windowSec seconds with an overall load multiplier
-// (diurnal modulation), invoking emit for each (dst, bytes) flow record.
-// samplesPerComponent controls the dispersion resolution per mix entry.
-func (pk *Picker) FleetFlows(p Params, r *rng.Source, src topology.HostID,
-	windowSec, loadFactor float64, samplesPerComponent int, emit func(dst topology.HostID, bytes float64)) {
-	runMix(pk.fleetMix(p, pk.Topo.HostRole(src)), r, src, windowSec, loadFactor, samplesPerComponent, emit)
+// mixTable is the compiled fleet workload shared by FleetProgram and
+// MatrixProgram: every role's mix under one Params, built once at
+// configuration time instead of once per (host, window) call.
+type mixTable struct {
+	pk    *Picker
+	mixes [topology.RoleMisc + 1][]mixEntry
 }
 
-// runMix is the shared sampling loop of FleetFlows and FleetProgram.Flows:
-// one rng draw of burst noise per mix entry (consumed even for zero-rate
-// entries, so the stream position is a pure function of the entry count),
-// then samplesPerComponent destination draws.
-func runMix(mix []mixEntry, r *rng.Source, src topology.HostID,
+func newMixTable(pk *Picker, p Params) mixTable {
+	mt := mixTable{pk: pk}
+	for role := topology.Role(0); role <= topology.RoleMisc; role++ {
+		mt.mixes[role] = fleetMix(p, role)
+	}
+	return mt
+}
+
+// FleetProgram is the sampling-mode fleet workload: per host and window,
+// samplesPerComponent Picker.sample draws from each mix entry's dst
+// terms. Safe for concurrent use; Flows allocates nothing.
+type FleetProgram struct {
+	mixTable
+}
+
+// NewFleetProgram compiles the mixes of every role under params p.
+func NewFleetProgram(pk *Picker, p Params) *FleetProgram {
+	return &FleetProgram{newMixTable(pk, p)}
+}
+
+// Flows synthesizes flow-granularity outbound traffic of host src over a
+// window of windowSec seconds with an overall load multiplier (diurnal
+// modulation), invoking emit for each (dst, bytes) flow record.
+// samplesPerComponent controls the dispersion resolution per mix entry.
+// The burst-noise draw is consumed even for zero-rate entries, so the
+// stream position is a pure function of the entry count.
+func (fp *FleetProgram) Flows(r *rng.Source, src topology.HostID,
 	windowSec, loadFactor float64, samplesPerComponent int, emit func(dst topology.HostID, bytes float64)) {
 	if samplesPerComponent <= 0 {
 		samplesPerComponent = 8
 	}
+	mix := fp.mixes[fp.pk.Topo.HostRole(src)]
 	for i := range mix {
 		m := &mix[i]
 		total := m.bytesPerSec * wireOverhead * windowSec * loadFactor
@@ -299,40 +208,11 @@ func runMix(mix []mixEntry, r *rng.Source, src topology.HostID,
 		}
 		per := total / float64(samplesPerComponent)
 		for i := 0; i < samplesPerComponent; i++ {
-			dst := m.pickDst(r, src)
+			dst := fp.pk.sample(r, src, m.dst)
 			if dst == src {
 				continue
 			}
 			emit(dst, per)
 		}
 	}
-}
-
-// FleetProgram is the compiled form of the fleet workload: the per-role
-// mixes built once instead of once per (host, window) call. fleetMix
-// allocates a slice and a closure per entry on every invocation, which
-// dominated the allocation profile of the sharded fleet collector; the
-// program hoists that work to configuration time. The closures only
-// capture the Picker, never the source host, so a precompiled mix is
-// behavior-identical — same rates, same destination samplers, same rng
-// consumption — to one built fresh per call. Safe for concurrent use.
-type FleetProgram struct {
-	pk    *Picker
-	mixes [topology.RoleMisc + 1][]mixEntry
-}
-
-// NewFleetProgram compiles the mixes of every role under params p.
-func NewFleetProgram(pk *Picker, p Params) *FleetProgram {
-	fp := &FleetProgram{pk: pk}
-	for role := topology.Role(0); role <= topology.RoleMisc; role++ {
-		fp.mixes[role] = pk.fleetMix(p, role)
-	}
-	return fp
-}
-
-// Flows is FleetFlows over the precompiled mix: identical emit sequence
-// and rng stream position, zero allocations.
-func (fp *FleetProgram) Flows(r *rng.Source, src topology.HostID,
-	windowSec, loadFactor float64, samplesPerComponent int, emit func(dst topology.HostID, bytes float64)) {
-	runMix(fp.mixes[fp.pk.Topo.HostRole(src)], r, src, windowSec, loadFactor, samplesPerComponent, emit)
 }

@@ -88,22 +88,17 @@ func (m *DemandMatrix) add(srcRack, dstRack int32, bytes float64) {
 	*m.cells.Slot(packPair(srcRack, dstRack)) += bytes
 }
 
-// MatrixProgram is the matrix-mode counterpart of FleetProgram: the
-// per-role mixes compiled once, read through their declarative dst terms
-// instead of their sampling closures. Safe for concurrent use; all
-// per-task mutable state lives in the DemandMatrix.
+// MatrixProgram is the matrix-mode counterpart of FleetProgram: the same
+// compiled mix table, read as rack-granularity byte shares of each dst
+// term instead of per-host draws. Safe for concurrent use; all per-task
+// mutable state lives in the DemandMatrix.
 type MatrixProgram struct {
-	pk    *Picker
-	mixes [topology.RoleMisc + 1][]mixEntry
+	mixTable
 }
 
 // NewMatrixProgram compiles the mixes of every role under params p.
 func NewMatrixProgram(pk *Picker, p Params) *MatrixProgram {
-	mp := &MatrixProgram{pk: pk}
-	for role := topology.Role(0); role <= topology.RoleMisc; role++ {
-		mp.mixes[role] = pk.fleetMix(p, role)
-	}
-	return mp
+	return &MatrixProgram{newMixTable(pk, p)}
 }
 
 // rackRange is a candidate destination range: one or two contiguous
@@ -118,20 +113,24 @@ type rackRange struct {
 
 func (rr *rackRange) totalHosts() int32 { return rr.hosts1 + rr.hosts2 }
 
-// resolve maps (term scope, source rack) to the destination rack range,
-// applying the same scope fallbacks as the Picker closures: cluster →
-// datacenter → fleet, datacenter → fleet, remote → fleet when only one
-// datacenter exists.
-func (mp *MatrixProgram) resolve(term *dstTerm, srcRack *topology.Rack) rackRange {
+// resolve maps (scope, role, source rack) to the destination rack range,
+// applying the same fallbacks as the Picker methods: rack → cluster of
+// the source's own role (a single-host rack; Synth keeps a multi-host
+// rack's bytes in the rack itself), cluster → datacenter → fleet,
+// datacenter → fleet, remote → fleet when only one datacenter holds the
+// role.
+func (mp *MatrixProgram) resolve(scope dstScope, role topology.Role, srcRack *topology.Rack) rackRange {
 	topo := mp.pk.Topo
-	role := term.role
+	if scope == scopeRack {
+		role = srcRack.Role
+	}
 	cum := topo.RoleCum(role)
 	span := func(lo, hi int) rackRange {
 		return rackRange{role: role, lo1: lo, hi1: hi, hosts1: cum[hi] - cum[lo]}
 	}
 	fleet := span(0, len(cum)-1)
-	switch term.scope {
-	case scopeCluster:
+	switch scope {
+	case scopeRack, scopeCluster:
 		if lo, hi := topo.RoleRackRangeInCluster(role, srcRack.Cluster); lo < hi {
 			return span(lo, hi)
 		}
@@ -154,7 +153,7 @@ func (mp *MatrixProgram) resolve(term *dstTerm, srcRack *topology.Rack) rackRang
 			return fleet
 		}
 		return out
-	default: // scopeFleet (scopeRack is handled by the caller)
+	default: // scopeFleet
 		return fleet
 	}
 }
@@ -185,12 +184,18 @@ func (mp *MatrixProgram) drawRack(r *rng.Source, rr *rackRange) int {
 }
 
 // packTerm distributes total bytes from srcRack across up to matrixFanout
-// destination racks of the range: propose 2×fanout capacity-weighted
-// candidates, sort the deduplicated set by residual capacity descending,
-// keep the top fanout, fill proportionally to residual, then apply the
-// residual decay in one batch — the propose/sort/fill/update steps of the
-// vectorised packing algorithm, on fixed-size stacks.
-func (mp *MatrixProgram) packTerm(r *rng.Source, srcRack int32, rr *rackRange, total float64, m *DemandMatrix) {
+// racks of the (scope, role) range that resolve names: propose 2×fanout
+// capacity-weighted candidates, sort the deduplicated set by residual
+// capacity descending, keep the top fanout, fill proportionally to
+// residual, then apply the residual decay in one batch — the
+// propose/sort/fill/update steps of the vectorised packing algorithm, on
+// fixed-size stacks.
+func (mp *MatrixProgram) packTerm(r *rng.Source, srcRack *topology.Rack, scope dstScope, role topology.Role,
+	total float64, m *DemandMatrix) {
+	rr := mp.resolve(scope, role, srcRack)
+	if rr.totalHosts() == 0 {
+		return
+	}
 	topo := mp.pk.Topo
 	racks := topo.RoleRacks(rr.role)
 
@@ -203,7 +208,7 @@ func (mp *MatrixProgram) packTerm(r *rng.Source, srcRack int32, rr *rackRange, t
 	}
 propose:
 	for i := 0; i < proposals; i++ {
-		rid := racks[mp.drawRack(r, rr)]
+		rid := racks[mp.drawRack(r, &rr)]
 		for j := 0; j < n; j++ {
 			if cand[j] == rid {
 				continue propose
@@ -240,7 +245,7 @@ propose:
 		sum += res[i]
 	}
 	for i := 0; i < n; i++ {
-		m.add(srcRack, cand[i], total*res[i]/sum)
+		m.add(int32(srcRack.ID), cand[i], total*res[i]/sum)
 	}
 	// Batched residual update: decay every selected rack once.
 	for i := 0; i < n; i++ {
@@ -250,8 +255,11 @@ propose:
 
 // Synth fills m with the demand of source racks [rackLo, rackHi) for one
 // window. The rng stream is consumed in a fixed order: one burst-noise
-// draw per (rack, mix entry) — the rack-granularity analogue of runMix's
-// per-host draw — then the packing proposals per term.
+// draw per (rack, mix entry) — the rack-granularity analogue of
+// FleetProgram.Flows' per-host draw — then the packing proposals per
+// term. A fleet term with a local bias packs as FleetPeer samples: its
+// datacenter share (frac × localBias) first, then its fleet share
+// (frac × (1 − localBias)).
 func (mp *MatrixProgram) Synth(r *rng.Source, rackLo, rackHi int,
 	windowSec, loadFactor float64, m *DemandMatrix) {
 	topo := mp.pk.Topo
@@ -264,7 +272,7 @@ func (mp *MatrixProgram) Synth(r *rng.Source, rackLo, rackHi int,
 			total := e.bytesPerSec * wireOverhead * windowSec * loadFactor * hosts
 			// Rack-level burst noise, consumed even for zero-rate
 			// entries so the stream position is a pure function of the
-			// entry count, as in runMix.
+			// entry count, as in FleetProgram.Flows.
 			total *= 0.8 + 0.4*r.Float64()
 			if total <= 0 {
 				continue
@@ -272,15 +280,15 @@ func (mp *MatrixProgram) Synth(r *rng.Source, rackLo, rackHi int,
 			for ti := range e.dst {
 				term := &e.dst[ti]
 				bytes := total * term.frac
-				if term.scope == scopeRack && rack.NumHosts > 1 {
+				switch {
+				case term.scope == scopeRack && rack.NumHosts > 1:
 					m.add(int32(rk), int32(rk), bytes)
-					continue
+				case term.scope == scopeFleet && term.localBias > 0:
+					mp.packTerm(r, rack, scopeDC, term.role, bytes*term.localBias, m)
+					mp.packTerm(r, rack, scopeFleet, term.role, bytes*(1-term.localBias), m)
+				default:
+					mp.packTerm(r, rack, term.scope, term.role, bytes, m)
 				}
-				rr := mp.resolve(term, rack)
-				if rr.totalHosts() == 0 {
-					continue
-				}
-				mp.packTerm(r, int32(rk), &rr, bytes, m)
 			}
 		}
 	}

@@ -9,7 +9,7 @@
 //   - Trace mode (Generate): an event-driven synthesis of the complete
 //     bidirectional packet-header stream a port mirror of one host would
 //     capture — the input for every per-packet and sub-second analysis.
-//   - Fleet mode (FleetFlows): a flow-granularity sample of a host's
+//   - Fleet mode (FleetProgram): a flow-granularity sample of a host's
 //     outbound traffic over long windows — the input for the Fbflow-style
 //     fleet analyses (locality tables, traffic matrices, utilization).
 //

@@ -139,17 +139,38 @@ func (p *Picker) HadoopPeer(r *rng.Source, self topology.HostID, rackFrac float6
 }
 
 // MiscPeer picks a long-tail service peer with the Service-cluster
-// locality mix of Table 3: mostly cluster-scoped with datacenter and
-// cross-datacenter components.
+// locality mix of Table 3 (miscDst): mostly cluster-scoped with
+// datacenter and cross-datacenter components.
 func (p *Picker) MiscPeer(r *rng.Source, self topology.HostID) topology.HostID {
-	u := r.Float64()
-	switch {
-	case u < 0.55:
-		return p.ClusterPeer(r, self, topology.RoleMisc)
-	case u < 0.80:
-		return p.DCPeer(r, self, topology.RoleMisc)
+	return p.sample(r, self, miscDst)
+}
+
+// sample draws one destination from a dst term distribution. Only with
+// more than one term does it spend a Float64, choosing the first term
+// whose running frac sum exceeds it; the term's scope then names the
+// Picker method that draws the host.
+func (p *Picker) sample(r *rng.Source, self topology.HostID, terms []dstTerm) topology.HostID {
+	t := &terms[0]
+	if len(terms) > 1 {
+		u, sum := r.Float64(), 0.0
+		for i := range terms {
+			t = &terms[i]
+			if sum += t.frac; u < sum {
+				break
+			}
+		}
+	}
+	switch t.scope {
+	case scopeRack:
+		return p.RackPeer(r, self)
+	case scopeCluster:
+		return p.ClusterPeer(r, self, t.role)
+	case scopeDC:
+		return p.DCPeer(r, self, t.role)
+	case scopeRemote:
+		return p.RemotePeer(r, self, t.role)
 	default:
-		return p.FleetPeer(r, self, topology.RoleMisc, 0)
+		return p.FleetPeer(r, self, t.role, t.localBias)
 	}
 }
 

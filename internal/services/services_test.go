@@ -344,16 +344,15 @@ func TestAllRolesGenerate(t *testing.T) {
 }
 
 func TestFleetRatesPositive(t *testing.T) {
-	_, pk := testTopo(t)
 	p := DefaultParams()
 	for _, r := range topology.Roles {
-		if rate := pk.FleetRate(p, r); rate <= 0 {
+		if rate := FleetRate(p, r); rate <= 0 {
 			t.Errorf("role %v fleet rate %.0f", r, rate)
 		}
 	}
 	// Hadoop should be the heaviest per-host source (§4.1: Hadoop
 	// clusters ≈5× Frontend edge load).
-	if pk.FleetRate(p, topology.RoleHadoop) <= pk.FleetRate(p, topology.RoleWeb) {
+	if FleetRate(p, topology.RoleHadoop) <= FleetRate(p, topology.RoleWeb) {
 		t.Error("hadoop per-host rate should exceed web's")
 	}
 }
@@ -365,7 +364,7 @@ func TestFleetFlowsConserveBytes(t *testing.T) {
 	src := firstOfRole(t, topo, topology.RoleWeb)
 	total := 0.0
 	n := 0
-	pk.FleetFlows(p, r, src, 60, 1.0, 8, func(dst topology.HostID, bytes float64) {
+	NewFleetProgram(pk, p).Flows(r, src, 60, 1.0, 8, func(dst topology.HostID, bytes float64) {
 		if dst == src {
 			t.Fatal("fleet flow to self")
 		}
@@ -375,7 +374,7 @@ func TestFleetFlowsConserveBytes(t *testing.T) {
 		total += bytes
 		n++
 	})
-	want := pk.FleetRate(p, topology.RoleWeb) * 60
+	want := FleetRate(p, topology.RoleWeb) * 60
 	if total < want*0.5 || total > want*1.5 {
 		t.Errorf("fleet flow bytes %.0f, want ≈%.0f", total, want)
 	}
@@ -389,10 +388,11 @@ func TestFleetLocalityWebClusterHeavy(t *testing.T) {
 	p := DefaultParams()
 	r := rng.New(6)
 	src := firstOfRole(t, topo, topology.RoleWeb)
+	prog := NewFleetProgram(pk, p)
 	byLoc := map[topology.Locality]float64{}
 	total := 0.0
 	for i := 0; i < 50; i++ {
-		pk.FleetFlows(p, r, src, 60, 1.0, 8, func(dst topology.HostID, bytes float64) {
+		prog.Flows(r, src, 60, 1.0, 8, func(dst topology.HostID, bytes float64) {
 			byLoc[topo.Locality(src, dst)] += bytes
 			total += bytes
 		})
