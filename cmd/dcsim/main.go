@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,11 +32,7 @@ import (
 	"fbdcnet/internal/fbflow"
 	"fbdcnet/internal/mirror"
 	"fbdcnet/internal/netsim"
-	"fbdcnet/internal/obs"
-	"fbdcnet/internal/obs/export"
-	"fbdcnet/internal/prof"
 	"fbdcnet/internal/services"
-	"fbdcnet/internal/telemetry"
 	"fbdcnet/internal/topology"
 	"fbdcnet/internal/workload"
 )
@@ -51,258 +48,184 @@ var roleNames = map[string]topology.Role{
 	"misc":    topology.RoleMisc,
 }
 
-func main() {
-	mirrorRole := flag.String("mirror", "", "write a mirror trace for this role (web|cache-f|cache-l|hadoop|mf|slb|db|misc)")
-	seconds := flag.Int("seconds", 30, "trace duration in seconds")
-	out := flag.String("out", "trace.fbm", "output trace file")
-	pcapOut := flag.String("pcap", "", "also export the mirror trace as a pcap file")
-	fleet := flag.Bool("fleet", false, "run the fleet-wide Fbflow view and print its summary")
-	distributed := flag.Int("distributed", 0, "with -fleet: collect through this many local agent processes streaming binary partials to an in-process aggregator (0 = in-process collection)")
-	serve := flag.Bool("serve", false, "run the endless rolling-window collection loop (SIGHUP reloads -serve-config, SIGINT/SIGTERM stop cleanly)")
-	serveWindows := flag.Int("serve-windows", 0, "with -serve: stop after this many windows (0 = run until signalled)")
-	serveConfig := flag.String("serve-config", "", "with -serve: JSON file re-read on SIGHUP (window_sec, samples, matrix, taggers, mem_ceiling_mb, sketch)")
-	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "stamp this memory ceiling (MiB) into the run manifest; cmd/manifestcheck asserts the fleet heap peak stayed under it (0 = no ceiling)")
-	saveDS := flag.String("save", "", "with -fleet: archive the Fbflow dataset to this file")
-	loadDS := flag.String("load", "", "print the summary of a previously archived Fbflow dataset")
-	parallel := flag.Int("parallel", 0, "worker goroutines for dataset generation (0 = GOMAXPROCS); results are identical at any value")
-	faults := flag.String("faults", "", fmt.Sprintf("run the degraded-mode fault experiment for a scenario (%s)",
-		strings.Join(netsim.FaultScenarios(), "|")))
-	telem := flag.Bool("telemetry", false, "run the in-fabric telemetry experiment and print its report")
-	traceSample := flag.Float64("trace-sample", 0.1, "in-band telemetry flow sampling fraction (0 disables)")
-	queueInterval := flag.Int("queue-interval", 200, "queue occupancy sampling interval, microseconds")
-	pathsOut := flag.String("paths-out", "", "with -telemetry: write retained path records (JSONL, readable by traceview -paths) to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	manifestPath := flag.String("manifest", "", "write the run manifest (config, stage timings, counters; distributed runs add the per-agent section) to this file")
-	traceOut := flag.String("trace-out", "", "write the run timeline (all agents plus the aggregator on one clock) as Chrome trace-event JSON to this file")
-	ff := cli.Register(flag.CommandLine, cli.HiddenAgent)
-	flag.Parse()
-	logger := ff.Logger()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	stop, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		logger.Error("starting profiler", "err", err)
-		os.Exit(2)
-	}
-	defer stop()
+// options are dcsim's own flags beside the shared harness.
+type options struct {
+	h            *cli.Harness
+	mirrorRole   string
+	seconds      int
+	out          string
+	pcapOut      string
+	fleet        bool
+	serve        bool
+	serveWindows int
+	serveConfig  string
+	saveDS       string
+	loadDS       string
+	telem        bool
+}
 
-	cfg := core.QuickConfig()
-	if err := ff.Apply(&cfg, logger); err != nil {
-		logger.Error("bad flags", "err", err)
-		os.Exit(2)
-	}
-	if bb := cfg.Audit.BB(); bb != nil {
-		defer bb.HandlePanic(ff.AuditOut)
-	}
-	cfg.MemCeilingBytes = *memCeilingMB << 20
-	cfg.Parallelism = *parallel
-	cfg.Taggers = *parallel
-	cfg.FaultScenario = *faults
-	cfg.TraceSample = *traceSample
-	cfg.QueueInterval = netsim.Time(*queueInterval) * netsim.Microsecond
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		logger.Error("building system", "err", err)
-		os.Exit(1)
-	}
+func register(fs *flag.FlagSet) *options {
+	o := &options{h: cli.New(fs, cli.Spec{Tool: "dcsim", Agent: cli.HiddenAgent, Sim: true, Usage: map[string]string{
+		"faults": fmt.Sprintf("run the degraded-mode fault experiment for a scenario (%s)",
+			strings.Join(netsim.FaultScenarios(), "|")),
+		"trace-sample": "in-band telemetry flow sampling fraction (0 disables)",
+		"paths-out":    "with -telemetry: write retained path records (JSONL, readable by traceview -paths) to this file",
+		"distributed":  "with -fleet: collect through this many local agent processes streaming binary partials to an in-process aggregator (0 = in-process collection)",
+	}})}
+	fs.StringVar(&o.mirrorRole, "mirror", "", "write a mirror trace for this role (web|cache-f|cache-l|hadoop|mf|slb|db|misc)")
+	fs.IntVar(&o.seconds, "seconds", 30, "trace duration in seconds")
+	fs.StringVar(&o.out, "out", "trace.fbm", "output trace file")
+	fs.StringVar(&o.pcapOut, "pcap", "", "also export the mirror trace as a pcap file")
+	fs.BoolVar(&o.fleet, "fleet", false, "run the fleet-wide Fbflow view and print its summary")
+	fs.BoolVar(&o.serve, "serve", false, "run the endless rolling-window collection loop (SIGHUP reloads -serve-config, SIGINT/SIGTERM stop cleanly)")
+	fs.IntVar(&o.serveWindows, "serve-windows", 0, "with -serve: stop after this many windows (0 = run until signalled)")
+	fs.StringVar(&o.serveConfig, "serve-config", "", "with -serve: JSON file re-read on SIGHUP (window_sec, samples, matrix, taggers, mem_ceiling_mb, sketch)")
+	fs.StringVar(&o.saveDS, "save", "", "with -fleet: archive the Fbflow dataset to this file")
+	fs.StringVar(&o.loadDS, "load", "", "print the summary of a previously archived Fbflow dataset")
+	fs.BoolVar(&o.telem, "telemetry", false, "run the in-fabric telemetry experiment and print its report")
+	return o
+}
 
-	if ff.Agent {
-		if code := ff.RunAgent(sys, logger); code != 0 {
-			os.Exit(code)
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	o := register(fs)
+	setup := func() (core.Config, error) {
+		if _, ok := roleNames[o.mirrorRole]; o.mirrorRole != "" && !ok {
+			return core.Config{}, fmt.Errorf("unknown role %q", o.mirrorRole)
 		}
-		return
-	}
-
-	if ff.MetricsAddr != "" {
-		srv, err := obs.Serve(ff.MetricsAddr, cfg.Obs)
-		if err != nil {
-			logger.Error("starting metrics endpoint", "err", err)
-			os.Exit(1)
+		if o.telem && o.h.TraceSample <= 0 {
+			return core.Config{}, errors.New("-telemetry needs a positive -trace-sample")
 		}
-		defer srv.Close()
-		logger.Info("metrics endpoint listening", "addr", srv.Addr())
+		if !o.h.Agent && !o.serve && o.h.Faults == "" && !o.telem && o.mirrorRole == "" && !o.fleet && o.loadDS == "" {
+			fs.Usage()
+			return core.Config{}, errors.New("no mode selected")
+		}
+		return core.QuickConfig(), nil
 	}
+	return o.h.Run(args, setup, o.body)
+}
 
-	did := false
-	if *serve {
-		if err := runServe(sys, logger, *serveWindows, *serveConfig); err != nil {
+// body runs every selected mode in turn.
+func (o *options) body(sys *core.System) int {
+	logger := o.h.Logger
+	if o.serve {
+		if err := runServe(sys, logger, o.serveWindows, o.serveConfig); err != nil {
 			logger.Error("serve loop failed", "err", err)
-			os.Exit(1)
+			return 1
 		}
-		did = true
 	}
-	if *faults != "" {
-		ok := false
-		for _, sc := range netsim.FaultScenarios() {
-			if *faults == sc {
-				ok = true
-			}
-		}
-		if !ok {
-			logger.Error("unknown fault scenario", "scenario", *faults,
-				"have", strings.Join(netsim.FaultScenarios(), "|"))
-			os.Exit(2)
-		}
+	if o.h.Faults != "" {
 		fmt.Print(sys.Degraded().Render())
-		did = true
 	}
-	if *telem {
-		res := sys.Telemetry()
-		if res == nil {
-			logger.Error("-telemetry needs a positive -trace-sample")
-			os.Exit(2)
+	if o.telem {
+		fmt.Print(sys.Telemetry().Render())
+		if code := o.h.WritePaths(sys); code != 0 {
+			return code
 		}
-		fmt.Print(res.Render())
-		if *pathsOut != "" {
-			f, err := os.Create(*pathsOut)
-			if err != nil {
-				logger.Error("creating path record file", "err", err)
-				os.Exit(1)
-			}
-			if err := telemetry.WriteRecords(f, res.Records, res.Switches); err != nil {
-				logger.Error("writing path records", "err", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				logger.Error("closing path record file", "err", err)
-				os.Exit(1)
-			}
-			logger.Info("wrote telemetry path records", "records", len(res.Records), "path", *pathsOut)
-		}
-		did = true
 	}
-	if *mirrorRole != "" {
-		role, ok := roleNames[*mirrorRole]
-		if !ok {
-			logger.Error("unknown role", "role", *mirrorRole)
-			os.Exit(2)
+	if o.mirrorRole != "" {
+		if err := o.writeMirror(sys); err != nil {
+			logger.Error("writing mirror trace", "err", err)
+			return 1
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			logger.Error("creating trace file", "err", err)
-			os.Exit(1)
-		}
-		w, err := mirror.NewWriter(f)
-		if err != nil {
-			logger.Error("opening trace writer", "err", err)
-			os.Exit(1)
-		}
-		sink := workload.Fanout{w}
-		var pw *mirror.PcapWriter
-		var pf *os.File
-		if *pcapOut != "" {
-			pf, err = os.Create(*pcapOut)
-			if err != nil {
-				logger.Error("creating pcap file", "err", err)
-				os.Exit(1)
-			}
-			pw, err = mirror.NewPcapWriter(pf)
-			if err != nil {
-				logger.Error("opening pcap writer", "err", err)
-				os.Exit(1)
-			}
-			sink = append(sink, pw)
-		}
-		host := sys.Monitored(role)
-		sp := cfg.Obs.StartSpan(fmt.Sprintf("mirror:%s:%ds", *mirrorRole, *seconds))
-		tr := services.NewTrace(sys.Pick, host, ff.Seed, cfg.Params, sink)
-		tr.Run(netsim.Time(*seconds) * netsim.Second)
-		sp.End()
-		if err := w.Close(); err != nil {
-			logger.Error("writing trace", "err", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			logger.Error("closing trace file", "err", err)
-			os.Exit(1)
-		}
-		if pw != nil {
-			if err := pw.Close(); err != nil {
-				logger.Error("writing pcap", "err", err)
-				os.Exit(1)
-			}
-			if err := pf.Close(); err != nil {
-				logger.Error("closing pcap file", "err", err)
-				os.Exit(1)
-			}
-			logger.Info("wrote pcap export", "path", *pcapOut)
-		}
-		logger.Info("wrote mirror trace", "headers", w.Count(), "role", role.String(),
-			"host", int(host), "path", *out)
-		did = true
 	}
-	if *fleet {
-		if *distributed > 0 {
-			if code := ff.CollectDistributed(sys, *distributed, logger); code != 0 {
-				os.Exit(code)
-			}
+	if o.fleet {
+		if code := o.h.Collect(sys); code != 0 {
+			return code
 		}
 		fmt.Print(sys.Table3().Render())
 		fmt.Println()
 		fmt.Print(sys.Section41().Render())
-		if *saveDS != "" {
-			f, err := os.Create(*saveDS)
-			if err != nil {
-				logger.Error("creating dataset archive", "err", err)
-				os.Exit(1)
-			}
-			if err := sys.FleetDataset().Save(f); err != nil {
+		if o.saveDS != "" {
+			if err := saveDataset(o.saveDS, sys.FleetDataset()); err != nil {
 				logger.Error("archiving dataset", "err", err)
-				os.Exit(1)
+				return 1
 			}
-			if err := f.Close(); err != nil {
-				logger.Error("closing dataset archive", "err", err)
-				os.Exit(1)
-			}
-			logger.Info("archived Fbflow dataset", "path", *saveDS)
+			logger.Info("archived Fbflow dataset", "path", o.saveDS)
 		}
-		did = true
 	}
-	if *loadDS != "" {
-		f, err := os.Open(*loadDS)
+	if o.loadDS != "" {
+		f, err := os.Open(o.loadDS)
 		if err != nil {
 			logger.Error("opening dataset archive", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		ds, err := fbflow.Load(f)
 		f.Close()
 		if err != nil {
 			logger.Error("loading dataset", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("archived dataset: %s total bytes, %d minutes\n",
 			renderSI(ds.TotalBytes()), len(ds.PerMinute()))
 		for _, l := range topology.Localities {
 			fmt.Printf("  %-17s %5.1f%%\n", l, 100*ds.LocalityShareAll()[l])
 		}
-		did = true
 	}
-	if !did {
-		flag.Usage()
-		os.Exit(2)
-	}
+	return 0
+}
 
-	if *manifestPath != "" {
-		m := cfg.Obs.Manifest(cfg.ManifestMeta("dcsim"))
-		m.Agents = sys.AgentManifestRecords()
-		m.Audit = cfg.Audit.Section()
-		if err := m.Validate(); err != nil {
-			logger.Warn("manifest fails schema validation", "err", err)
-		}
-		if err := m.WriteFile(*manifestPath); err != nil {
-			logger.Error("writing run manifest", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("wrote run manifest", "path", *manifestPath)
+// writeMirror captures -seconds of the monitored host of -mirror into
+// -out, and into -pcap when given.
+func (o *options) writeMirror(sys *core.System) error {
+	role := roleNames[o.mirrorRole]
+	f, err := os.Create(o.out)
+	if err != nil {
+		return err
 	}
-	if *traceOut != "" {
-		procs := export.FromRun(cfg.Obs, sys.AgentReports())
-		if err := export.WriteFile(*traceOut, procs); err != nil {
-			logger.Error("writing run trace", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("wrote run timeline", "path", *traceOut, "procs", len(procs))
+	defer f.Close()
+	w, err := mirror.NewWriter(f)
+	if err != nil {
+		return err
 	}
+	sink := workload.Fanout{w}
+	var pw *mirror.PcapWriter
+	if o.pcapOut != "" {
+		pf, err := os.Create(o.pcapOut)
+		if err != nil {
+			return err
+		}
+		defer pf.Close()
+		if pw, err = mirror.NewPcapWriter(pf); err != nil {
+			return err
+		}
+		sink = append(sink, pw)
+	}
+	host := sys.Monitored(role)
+	sp := sys.Cfg.Obs.StartSpan(fmt.Sprintf("mirror:%s:%ds", o.mirrorRole, o.seconds))
+	tr := services.NewTrace(sys.Pick, host, sys.Cfg.Seed, sys.Cfg.Params, sink)
+	tr.Run(netsim.Time(o.seconds) * netsim.Second)
+	sp.End()
+	if err := w.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if pw != nil {
+		if err := pw.Close(); err != nil {
+			return err
+		}
+		o.h.Logger.Info("wrote pcap export", "path", o.pcapOut)
+	}
+	o.h.Logger.Info("wrote mirror trace", "headers", w.Count(), "role", role.String(),
+		"host", int(host), "path", o.out)
+	return nil
+}
+
+// saveDataset archives ds to path.
+func saveDataset(path string, ds *fbflow.Dataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := ds.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // renderSI formats bytes with an SI suffix.

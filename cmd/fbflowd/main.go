@@ -30,169 +30,115 @@ import (
 
 	"fbdcnet/internal/cli"
 	"fbdcnet/internal/core"
-	"fbdcnet/internal/obs"
-	"fbdcnet/internal/obs/export"
+	"fbdcnet/internal/fbflow"
 )
 
-func main() {
-	listen := flag.String("listen", "", "aggregator address (unix:/path, tcp:host:port, or bare socket path); empty with -spawn uses a private unix socket")
-	spawnLocal := flag.Bool("spawn", false, "spawn the agents locally as child processes of this aggregator")
-	single := flag.Bool("single", false, "run the collection single-process and print the same digest (the byte-identity reference)")
-	reconnectWait := flag.Int("reconnect-wait-sec", 10, "seconds the aggregator waits for a dead agent to reconnect before gapping its remaining cells")
-	parallel := flag.Int("parallel", 0, "with -single: worker goroutines (0 = GOMAXPROCS)")
-	manifestPath := flag.String("manifest", "", "write the run manifest JSON here (aggregator runs include the federated per-agent section)")
-	traceOut := flag.String("trace-out", "", "write the unified run timeline here as Chrome trace-event JSON (open in Perfetto)")
-	ff := cli.Register(flag.CommandLine, cli.AgentNames{
-		Mode: "agent", ID: "id", Agents: "agents", Incarnation: "incarnation", Connect: "connect",
+func main() { os.Exit(run(os.Args[1:])) }
+
+// options are fbflowd's own flags beside the shared harness.
+type options struct {
+	h             *cli.Harness
+	listen        string
+	spawnLocal    bool
+	single        bool
+	reconnectWait int
+}
+
+func register(fs *flag.FlagSet) *options {
+	o := &options{h: cli.New(fs, cli.Spec{
+		Tool: "fbflowd",
+		Agent: cli.AgentNames{
+			Mode: "agent", ID: "id", Agents: "agents", Incarnation: "incarnation", Connect: "connect",
+		},
+		Usage: map[string]string{
+			"parallel":  "with -single: worker goroutines (0 = GOMAXPROCS)",
+			"manifest":  "write the run manifest JSON here (aggregator runs include the federated per-agent section)",
+			"trace-out": "write the unified run timeline here as Chrome trace-event JSON (open in Perfetto)",
+		},
+	})}
+	fs.StringVar(&o.listen, "listen", "", "aggregator address (unix:/path, tcp:host:port, or bare socket path); empty with -spawn uses a private unix socket")
+	fs.BoolVar(&o.spawnLocal, "spawn", false, "spawn the agents locally as child processes of this aggregator")
+	fs.BoolVar(&o.single, "single", false, "run the collection single-process and print the same digest (the byte-identity reference)")
+	fs.IntVar(&o.reconnectWait, "reconnect-wait-sec", 10, "seconds the aggregator waits for a dead agent to reconnect before gapping its remaining cells")
+	return o
+}
+
+func run(args []string) int {
+	o := register(flag.NewFlagSet(os.Args[0], flag.ContinueOnError))
+	setup := func() (core.Config, error) { return core.QuickConfig(), nil }
+	return o.h.Run(args, setup, func(sys *core.System) int {
+		if !o.single {
+			if code := o.aggregate(sys); code != 0 {
+				return code
+			}
+		}
+		return printDigest(sys, o.h.Logger)
 	})
-	flag.Parse()
-	logger := ff.Logger()
-
-	cfg := core.QuickConfig()
-	if err := ff.Apply(&cfg, logger); err != nil {
-		logger.Error("bad flags", "err", err)
-		os.Exit(2)
-	}
-	if bb := cfg.Audit.BB(); bb != nil {
-		defer bb.HandlePanic(ff.AuditOut)
-	}
-	cfg.Parallelism = *parallel
-	cfg.Taggers = *parallel
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		logger.Error("building system", "err", err)
-		os.Exit(1)
-	}
-
-	if ff.Agent {
-		if code := ff.RunAgent(sys, logger); code != 0 {
-			os.Exit(code)
-		}
-		writeObsArtifacts(sys, *manifestPath, *traceOut, logger)
-		return
-	}
-	if ff.MetricsAddr != "" {
-		srv, err := obs.Serve(ff.MetricsAddr, cfg.Obs)
-		if err != nil {
-			logger.Error("starting metrics endpoint", "err", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		logger.Info("metrics endpoint listening", "addr", srv.Addr())
-	}
-	if *single {
-		printDigest(sys, logger)
-	} else {
-		runAggregator(sys, ff, *listen, *spawnLocal, time.Duration(*reconnectWait)*time.Second, logger)
-	}
-	writeObsArtifacts(sys, *manifestPath, *traceOut, logger)
 }
 
-// writeObsArtifacts writes the run manifest and the Chrome trace-event
-// timeline when the corresponding flags were given. Aggregator runs get
-// the federated per-agent section and every agent's spans; other modes
-// write their process-local view.
-func writeObsArtifacts(sys *core.System, manifestPath, traceOut string, logger *slog.Logger) {
-	if manifestPath != "" {
-		m := sys.Cfg.Obs.Manifest(sys.Cfg.ManifestMeta("fbflowd"))
-		m.Agents = sys.AgentManifestRecords()
-		m.Audit = sys.Cfg.Audit.Section()
-		if err := m.Validate(); err != nil {
-			logger.Error("manifest failed schema validation", "err", err)
-			os.Exit(1)
-		}
-		if err := m.WriteFile(manifestPath); err != nil {
-			logger.Error("writing manifest", "path", manifestPath, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("manifest written", "path", manifestPath, "agents", len(m.Agents))
+// aggregate collects the fleet dataset from -agents shard agents:
+// spawned over a private unix socket, spawned at an explicit -listen
+// address (useful for exercising the tcp path locally), or external
+// agents dialling -listen. It returns the exit status.
+func (o *options) aggregate(sys *core.System) int {
+	h, logger := o.h, o.h.Logger
+	if o.spawnLocal && o.listen == "" {
+		return h.CollectDistributed(sys, h.Agents, logger)
 	}
-	if traceOut != "" {
-		procs := export.FromRun(sys.Cfg.Obs, sys.AgentReports())
-		if err := export.WriteFile(traceOut, procs); err != nil {
-			logger.Error("writing trace", "path", traceOut, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("trace written", "path", traceOut, "procs", len(procs))
-	}
-}
-
-// runAggregator serves the merge frontier, optionally spawning the
-// agents locally, and prints the digest.
-func runAggregator(sys *core.System, ff *cli.FleetFlags, listen string, spawnLocal bool, reconnectWait time.Duration, logger *slog.Logger) {
-	agents := ff.Agents
-	agentArgs := ff.AgentArgs(sys.Cfg, agents)
-	if spawnLocal {
-		if err := ff.AnnounceAgentMetrics(agents, logger); err != nil {
+	var (
+		ds   *fbflow.Dataset
+		gaps []core.CoverageGap
+		err  error
+	)
+	wait := time.Duration(o.reconnectWait) * time.Second
+	network, addr := core.ParseListenSpec(o.listen)
+	if o.spawnLocal {
+		if err := h.AnnounceAgentMetrics(h.Agents, logger); err != nil {
 			logger.Error("bad -metrics-addr", "err", err)
-			os.Exit(2)
+			return 2
 		}
-	}
-	var gaps []core.CoverageGap
-	switch {
-	case spawnLocal && listen == "":
-		// The common local case: private unix socket, agents spawned and
-		// restarted by the aggregator.
-		var err error
-		gaps, err = sys.CollectFleetDistributed(agents, agentArgs)
-		if err != nil {
-			logger.Error("distributed collection failed", "err", err)
-			os.Exit(1)
-		}
-	case spawnLocal:
-		// Explicit address but still self-spawned agents — useful for
-		// exercising the tcp path locally.
-		network, addr := core.ParseListenSpec(listen)
-		spawn, err := core.SelfExecSpawner(func(a, inc int) []string { return agentArgs(network+":"+addr, a, inc) })
+		agentArgs := h.AgentArgs(sys.Cfg, h.Agents)
+		var spawn core.AgentSpawner
+		spawn, err = core.SelfExecSpawner(func(a, inc int) []string { return agentArgs(network+":"+addr, a, inc) })
 		if err != nil {
 			logger.Error("resolving spawner", "err", err)
-			os.Exit(1)
+			return 1
 		}
-		ds, g, err := sys.RunDistributedFleet(network, addr, agents, spawn, reconnectWait)
-		if err != nil {
-			logger.Error("distributed collection failed", "err", err)
-			os.Exit(1)
-		}
-		gaps = g
-		if !sys.InjectFleetDataset(ds, g) {
-			logger.Error("fleet dataset already collected")
-			os.Exit(1)
-		}
-	default:
-		// External agents: listen and wait for them to dial in.
-		network, addr := core.ParseListenSpec(listen)
-		if listen == "" {
+		ds, gaps, err = sys.RunDistributedFleet(network, addr, h.Agents, spawn, wait)
+	} else {
+		if o.listen == "" {
 			network, addr = "unix", filepath.Join(os.TempDir(), fmt.Sprintf("fbflowd-%d.sock", os.Getpid()))
 			defer os.Remove(addr)
 		}
-		ln, err := net.Listen(network, addr)
+		var ln net.Listener
+		ln, err = net.Listen(network, addr)
 		if err != nil {
-			logger.Error("listening", "addr", listen, "err", err)
-			os.Exit(1)
+			logger.Error("listening", "addr", o.listen, "err", err)
+			return 1
 		}
-		logger.Info("aggregator listening", "network", network, "addr", addr, "agents", agents)
-		ds, g, err := sys.ServeFleetAggregator(ln, agents, reconnectWait)
+		logger.Info("aggregator listening", "network", network, "addr", addr, "agents", h.Agents)
+		ds, gaps, err = sys.ServeFleetAggregator(ln, h.Agents, wait)
 		ln.Close()
-		if err != nil {
-			logger.Error("aggregation failed", "err", err)
-			os.Exit(1)
-		}
-		gaps = g
-		if !sys.InjectFleetDataset(ds, g) {
-			logger.Error("fleet dataset already collected")
-			os.Exit(1)
-		}
+	}
+	if err != nil {
+		logger.Error("distributed collection failed", "err", err)
+		return 1
+	}
+	if !sys.InjectFleetDataset(ds, gaps) {
+		logger.Error("fleet dataset already collected")
+		return 1
 	}
 	cli.WarnGaps(gaps, logger)
-	printDigest(sys, logger)
+	return 0
 }
 
 // printDigest renders the canonical digest JSON on stdout.
-func printDigest(sys *core.System, logger *slog.Logger) {
+func printDigest(sys *core.System, logger *slog.Logger) int {
 	b, err := sys.FleetDigest().JSON()
 	if err != nil {
 		logger.Error("rendering digest", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	os.Stdout.Write(b)
+	return 0
 }

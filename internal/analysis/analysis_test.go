@@ -29,6 +29,17 @@ func mk(topo *topology.Topology, src, dst topology.HostID, t netsim.Time, size u
 	}
 }
 
+// onlyFlow returns the first flow fl assembled.
+func onlyFlow(fl *Flows) *Flow {
+	var f *Flow
+	fl.each(func(g *Flow) {
+		if f == nil {
+			f = g
+		}
+	})
+	return f
+}
+
 func TestFlowsAssembly(t *testing.T) {
 	topo := tinyTopo(t)
 	fl := NewFlows(topo, 0)
@@ -42,7 +53,7 @@ func TestFlowsAssembly(t *testing.T) {
 	if fl.Count() != 1 {
 		t.Fatalf("flows = %d, want 1 (directions must merge)", fl.Count())
 	}
-	f := fl.All()[0]
+	f := onlyFlow(fl)
 	if f.Bytes != 600 || f.Packets != 3 {
 		t.Fatalf("flow totals: %d bytes %d pkts", f.Bytes, f.Packets)
 	}
@@ -59,7 +70,7 @@ func TestFlowsLocalityTagging(t *testing.T) {
 	fl := NewFlows(topo, 0)
 	far := topology.HostID(topo.NumHosts() - 1)
 	fl.Packet(mk(topo, 0, far, 0, 100, 1, 2, 0))
-	f := fl.All()[0]
+	f := onlyFlow(fl)
 	if f.Locality != topology.InterDatacenter {
 		t.Fatalf("locality %v", f.Locality)
 	}
@@ -106,8 +117,8 @@ func TestPerHostSizeCDFAggregates(t *testing.T) {
 	if total != 2 {
 		t.Fatalf("per-locality split covers %d hosts, want 2", total)
 	}
-	if fl.PerHostSizeCDFForLocality(topology.InterDatacenter).N() != 0 {
-		t.Fatal("absent locality should return empty sample")
+	if _, ok := perLoc[topology.InterDatacenter]; ok {
+		t.Fatal("absent locality has a per-host sample")
 	}
 }
 
@@ -482,9 +493,7 @@ func TestFlowAssemblyConservesBytesProperty(t *testing.T) {
 			total += int64(size)
 		}
 		var got int64
-		for _, f := range fl.All() {
-			got += f.Bytes
-		}
+		fl.each(func(f *Flow) { got += f.Bytes })
 		return got == total
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {

@@ -12,8 +12,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/packet"
@@ -155,19 +153,6 @@ func (fl *Flows) each(f func(*Flow)) {
 	}
 }
 
-// All returns the assembled flows sorted by start time.
-func (fl *Flows) All() []*Flow {
-	out := make([]*Flow, 0, fl.Count())
-	fl.each(func(f *Flow) { out = append(out, f) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Key.String() < out[j].Key.String()
-	})
-	return out
-}
-
 // Count returns the number of distinct flows.
 func (fl *Flows) Count() int { return len(fl.slab) + len(fl.spill) }
 
@@ -240,14 +225,4 @@ func (fl *Flows) PerHostSizeCDF() (perLocality map[topology.Locality]*stats.Samp
 		s.Add(kb)
 	}
 	return perLocality, all
-}
-
-// PerHostSizeCDFForLocality is a convenience accessor for one tier of
-// PerHostSizeCDF; it returns an empty sample when the tier is absent.
-func (fl *Flows) PerHostSizeCDFForLocality(l topology.Locality) *stats.Sample {
-	perLoc, _ := fl.PerHostSizeCDF()
-	if s, ok := perLoc[l]; ok {
-		return s
-	}
-	return stats.NewSample(0)
 }

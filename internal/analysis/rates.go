@@ -85,9 +85,6 @@ func (rs *RateSeries) SecondCDF(s int) *stats.Sample {
 	return out
 }
 
-// Seconds returns the number of seconds available to SecondCDF.
-func (rs *RateSeries) Seconds() int { return rs.seconds() }
-
 // SpreadAcrossSeconds summarizes how similar one second's CDF is to the
 // next: for each second, the p90/p10 ratio of per-rack rates; stable
 // load-balanced traffic (cache) gives small, consistent ratios while

@@ -1,8 +1,9 @@
 // Package cli is the process wiring shared by the commands that run the
 // distributed fleet collection (dcsim, experiments and fbflowd): one
-// registration of the flags that shape a fleet run, the argument list
-// that re-executes a command as one of its agents, and the agent process
-// itself.
+// registration of the flags that shape a fleet run, one run harness
+// (start sequence, metrics endpoint, manifest and timeline), the
+// argument list that re-executes a command as one of its agents, and the
+// agent process itself.
 package cli
 
 import (
@@ -10,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -76,30 +76,26 @@ func Register(fs *flag.FlagSet, names AgentNames) *FleetFlags {
 	fs.BoolVar(&f.Audit, "audit", false, "record the determinism flight recorder: per-cell checkpoint digests into the manifest audit section plus a crash black box (compare manifests with cmd/digestdiff)")
 	fs.StringVar(&f.AuditOut, "audit-out", "", "with -audit: write the black-box JSON dump to this file on panic, SIGQUIT, or a planned agent kill")
 	fs.StringVar(&f.AuditPerturb, "audit-perturb", "", "with -audit: plant a ledger-only divergence at fleet-collect cell W:S (testing aid for digestdiff and CI; experiment outputs stay untouched)")
-	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics on this address (/metrics Prometheus text, /debug/vars expvar, / progress); local agents serve on the same host at port+1+id")
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics on this address (/metrics Prometheus text, / progress); local agents serve on the same host at port+1+id")
 	fs.BoolVar(&f.Quiet, "quiet", false, "suppress informational diagnostics on stderr (warnings and errors still print)")
 	return f
 }
 
-// Logger builds the stderr diagnostic logger and makes it the default:
-// stdout stays reserved for dataset output.
-func (f *FleetFlags) Logger() *slog.Logger {
-	level := slog.LevelInfo
-	if f.Quiet {
-		level = slog.LevelWarn
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-	return logger
-}
-
-// Apply sets the fleet fields of cfg, a fresh metrics registry and, with
-// -audit, the checkpoint recorder and its crash black box. The caller
-// defers the black box's HandlePanic when cfg.Audit.BB() is non-nil.
+// Apply checks the fleet flags (and, in agent mode, the agent's
+// identity), then sets the fleet fields of cfg, a fresh metrics registry
+// and, with -audit, the checkpoint recorder and its crash black box. The
+// caller defers the black box's HandlePanic when cfg.Audit.BB() is
+// non-nil.
 func (f *FleetFlags) Apply(cfg *core.Config, logger *slog.Logger) error {
 	scale, ok := topology.ParseScale(f.Scale)
 	if !ok {
 		return fmt.Errorf("unknown scale %q (have %s)", f.Scale, strings.Join(topology.ScaleNames(), "|"))
+	}
+	if f.Agent && f.Connect == "" {
+		return errors.New("agent mode needs -" + f.names.Connect)
+	}
+	if f.Agent && (f.ID < 0 || f.ID >= f.Agents) {
+		return fmt.Errorf("agent id %d outside the fleet of %d", f.ID, f.Agents)
 	}
 	cfg.Scale = scale
 	cfg.Seed = f.Seed
@@ -235,19 +231,12 @@ func (f *FleetFlags) CollectDistributed(sys *core.System, agents int, logger *sl
 }
 
 // RunAgent is the agent process: serve its metrics endpoint, dial the
-// aggregator, and stream this agent's shard range. It returns the
-// process exit status: 0 when the agent delivered its range,
-// core.AgentCrashExitCode at the seed-planned crash point (the parent
-// restarts the next incarnation), 1 on failure and 2 on bad flags.
+// aggregator, and stream this agent's shard range. Apply has checked the
+// agent's identity. It returns the process exit status: 0 when the
+// agent delivered its range, core.AgentCrashExitCode at the seed-planned
+// crash point (the parent restarts the next incarnation), and 1 on
+// failure.
 func (f *FleetFlags) RunAgent(sys *core.System, logger *slog.Logger) int {
-	if f.Connect == "" {
-		logger.Error("agent mode needs -" + f.names.Connect)
-		return 2
-	}
-	if f.ID < 0 || f.ID >= f.Agents {
-		logger.Error("agent id outside the fleet", "id", f.ID, "agents", f.Agents)
-		return 2
-	}
 	if f.MetricsAddr != "" {
 		srv, err := obs.Serve(f.MetricsAddr, sys.Cfg.Obs)
 		if err != nil {

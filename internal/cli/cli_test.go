@@ -38,21 +38,22 @@ func TestParsePerturb(t *testing.T) {
 
 // TestRunAgentRejectsBadIdentity pins the flag errors every command's
 // agent mode shares: no aggregator address, or an id outside the fleet,
-// exits 2 before dialling anything.
+// fails Apply, so the command exits 2 before it dials anything.
 func TestRunAgentRejectsBadIdentity(t *testing.T) {
-	sys := core.MustNewSystem(core.QuickConfig())
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	for _, args := range [][]string{
 		{"-fleet-agent", "-fleet-agent-count", "2"},
 		{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "2", "-fleet-agent-connect", "unix:/nonexistent"},
+		{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "-1", "-fleet-agent-connect", "unix:/nonexistent"},
 	} {
 		fs := flag.NewFlagSet("agent", flag.ContinueOnError)
 		f := Register(fs, HiddenAgent)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		if code := f.RunAgent(sys, logger); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
+		cfg := core.QuickConfig()
+		if err := f.Apply(&cfg, logger); err == nil {
+			t.Errorf("%v: Apply accepted the agent identity", args)
 		}
 	}
 }

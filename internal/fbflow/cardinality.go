@@ -62,8 +62,3 @@ func (c *Cardinality) Hosts() float64 { return c.hosts.Estimate() }
 
 // Racks estimates the number of distinct active racks.
 func (c *Cardinality) Racks() float64 { return c.racks.Estimate() }
-
-// Bytes returns the fixed register footprint.
-func (c *Cardinality) Bytes() int {
-	return c.flows.Bytes() + c.hosts.Bytes() + c.racks.Bytes()
-}

@@ -24,9 +24,6 @@ import (
 	"fbdcnet/internal/topology"
 )
 
-// DefaultSamplingRate is the production 1:30,000 packet sampling rate.
-const DefaultSamplingRate = 30000
-
 // sample is what an agent ships into the stream: a raw header plus
 // capture metadata, before tagging.
 type sample struct {
@@ -193,8 +190,6 @@ type Agent struct {
 	left   uint64
 	r      *rng.Source
 	minute func() int64
-	seen   int64
-	taken  int64
 }
 
 // NewAgent creates an agent sampling at 1:rate; minute supplies the
@@ -212,13 +207,11 @@ func NewAgent(p *Pipeline, rate uint64, seed uint64, minute func() int64) *Agent
 // random phase, statistically equivalent to per-packet Bernoulli at the
 // same rate but cheaper — exactly the nflog configuration.
 func (a *Agent) Packet(h packet.Header) {
-	a.seen++
 	a.left--
 	if a.left > 0 {
 		return
 	}
 	a.left = a.rate
-	a.taken++
 	a.p.in <- sample{minute: a.minute(), hdr: h, weight: float64(a.rate)}
 }
 
@@ -230,16 +223,9 @@ func (a *Agent) Packets(hs []packet.Header) {
 	n := uint64(len(hs))
 	if a.left > n {
 		a.left -= n
-		a.seen += int64(n)
 		return
 	}
 	for _, h := range hs {
 		a.Packet(h)
 	}
 }
-
-// Seen returns the number of packets observed by the agent.
-func (a *Agent) Seen() int64 { return a.seen }
-
-// Sampled returns the number of packets shipped into the pipeline.
-func (a *Agent) Sampled() int64 { return a.taken }

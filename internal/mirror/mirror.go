@@ -127,53 +127,3 @@ func (r *Reader) ForEach(fn func(packet.Header)) error {
 		fn(h)
 	}
 }
-
-// Ring is a bounded in-memory capture buffer: the stand-in for the
-// pinned-RAM kernel module. Once capacity is reached further packets are
-// counted as lost rather than silently dropped.
-type Ring struct {
-	hdrs []packet.Header
-	cap  int
-	lost int64
-}
-
-// NewRing creates a capture buffer holding up to capacity headers.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		panic("mirror: ring capacity must be positive")
-	}
-	return &Ring{hdrs: make([]packet.Header, 0, capacity), cap: capacity}
-}
-
-// Packet implements the collector interface.
-func (r *Ring) Packet(h packet.Header) {
-	if len(r.hdrs) >= r.cap {
-		r.lost++
-		return
-	}
-	r.hdrs = append(r.hdrs, h)
-}
-
-// Packets implements the batch collector interface: room is checked once
-// and the in-capacity prefix is bulk-copied.
-func (r *Ring) Packets(hs []packet.Header) {
-	room := r.cap - len(r.hdrs)
-	if room > len(hs) {
-		room = len(hs)
-	}
-	if room > 0 {
-		r.hdrs = append(r.hdrs, hs[:room]...)
-	}
-	r.lost += int64(len(hs) - room)
-}
-
-// Headers returns the captured headers in arrival order. The slice is
-// owned by the Ring.
-func (r *Ring) Headers() []packet.Header { return r.hdrs }
-
-// Lost returns the number of packets that arrived after the buffer
-// filled.
-func (r *Ring) Lost() int64 { return r.lost }
-
-// Lossless reports whether the capture completed without loss.
-func (r *Ring) Lossless() bool { return r.lost == 0 }

@@ -124,38 +124,6 @@ func TestWriterStickyError(t *testing.T) {
 	}
 }
 
-func TestRingCapacityAndLoss(t *testing.T) {
-	r := NewRing(10)
-	for i := 0; i < 25; i++ {
-		r.Packet(hdr(i))
-	}
-	if len(r.Headers()) != 10 {
-		t.Fatalf("kept %d", len(r.Headers()))
-	}
-	if r.Lost() != 15 || r.Lossless() {
-		t.Fatalf("lost %d", r.Lost())
-	}
-}
-
-func TestRingLossless(t *testing.T) {
-	r := NewRing(100)
-	for i := 0; i < 50; i++ {
-		r.Packet(hdr(i))
-	}
-	if !r.Lossless() {
-		t.Fatal("unexpected loss")
-	}
-}
-
-func TestRingPanicsOnZeroCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity accepted")
-		}
-	}()
-	NewRing(0)
-}
-
 func BenchmarkWriterPacket(b *testing.B) {
 	w, _ := NewWriter(io.Discard)
 	h := hdr(1)

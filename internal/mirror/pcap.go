@@ -18,7 +18,6 @@ import (
 // the TCP header, exactly like a `tcpdump -s 54` header-only capture.
 
 const (
-	pcapMagic      = 0xa1b2c3d9 // standard magic, nanosecond variant below
 	pcapMagicNanos = 0xa1b23c4d
 	pcapVersionMaj = 2
 	pcapVersionMin = 4
@@ -32,10 +31,9 @@ const (
 
 // PcapWriter streams headers as a nanosecond-resolution pcap file.
 type PcapWriter struct {
-	w     *bufio.Writer
-	buf   [16 + capturedBytes]byte
-	count int64
-	err   error
+	w   *bufio.Writer
+	buf [16 + capturedBytes]byte
+	err error
 }
 
 // NewPcapWriter writes the pcap global header and returns a writer.
@@ -75,9 +73,7 @@ func (p *PcapWriter) Packet(h packet.Header) {
 	synthEthernet(pkt, h)
 	if _, err := p.w.Write(b); err != nil {
 		p.err = err
-		return
 	}
-	p.count++
 }
 
 // Packets implements the batch collector interface.
@@ -181,9 +177,6 @@ func ipChecksum(h []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// Count returns the number of records written.
-func (p *PcapWriter) Count() int64 { return p.count }
 
 // Close flushes the writer and reports any sticky error.
 func (p *PcapWriter) Close() error {

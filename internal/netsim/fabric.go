@@ -301,9 +301,6 @@ func (f *Fabric) AttachTelemetry(ts *telemetry.Sink) {
 	}
 }
 
-// Telemetry returns the attached telemetry sink (nil when untraced).
-func (f *Fabric) Telemetry() *telemetry.Sink { return f.telem }
-
 // StartQueueSampling schedules fixed-interval reads of every switch
 // port's queued bytes into the attached telemetry sink's pooled columnar
 // buffers, from one interval after the current time until the given
@@ -537,16 +534,6 @@ func (f *Fabric) LinksByTier(t Tier) []*Link {
 		}
 	}
 	return out
-}
-
-// ResetLinkCounters zeroes transmit counters on every tiered link,
-// starting a fresh measurement window.
-func (f *Fabric) ResetLinkCounters() {
-	for _, t := range []Tier{TierHostRSW, TierRSWCSW, TierCSWFC} {
-		for _, l := range f.LinksByTier(t) {
-			l.ResetCounters()
-		}
-	}
 }
 
 // SampleOccupancy schedules periodic reads of sw's shared-buffer

@@ -180,9 +180,6 @@ func (f *Fabric) ApplyFaults(sched *FaultSchedule) {
 // Faults returns a snapshot of the fault-layer counters.
 func (f *Fabric) Faults() FaultStats { return f.faults }
 
-// FaultsActive reports how many elements are currently down.
-func (f *Fabric) FaultsActive() int { return f.faultsActive }
-
 // SetElementDown fails or recovers one named element immediately. It is
 // idempotent: setting an element to its current state is a no-op.
 func (f *Fabric) SetElementDown(e topology.Element, down bool) {

@@ -83,9 +83,6 @@ type Port struct {
 // — are handed to the switch's fault-drop path instead of transmitted.
 func (p *Port) SetDown(down bool) { p.down = down }
 
-// Down reports whether the port's link is currently failed.
-func (p *Port) Down() bool { return p.down }
-
 // Drops returns the number of packets dropped at this egress.
 func (p *Port) Drops() int64 { return p.drops }
 
@@ -128,10 +125,6 @@ func (s *Switch) setTelemetry(ts *telemetry.Sink, tier telemetry.Tier) {
 	s.telemTier = tier
 	s.telemID = ts.RegisterSwitch(s.name, tier, len(s.ports))
 }
-
-// TelemetryID returns the dense switch ID assigned by an attached
-// telemetry sink (0 when untraced).
-func (s *Switch) TelemetryID() uint32 { return s.telemID }
 
 // faultReason maps the down flags to the telemetry reason code at a
 // fault drop: a down switch wins over a down link.
@@ -188,9 +181,6 @@ func (s *Switch) FaultDrops() int64 { return s.faultDrops }
 // every packet received — and every packet already queued when the fault
 // fires, at its departure instant — is lost through the fault-drop path.
 func (s *Switch) SetDown(down bool) { s.down = down }
-
-// Down reports whether the switch is currently failed.
-func (s *Switch) Down() bool { return s.down }
 
 // faultDrop loses p to a fault and notifies the fault hook.
 func (s *Switch) faultDrop(p *Packet) {

@@ -280,16 +280,6 @@ func (r *Recorder) Hole(stage string, window, shard int) {
 	r.Append(Checkpoint{Stage: stage, Window: window, Shard: shard, Hole: true})
 }
 
-// Len returns the number of recorded checkpoints.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cps)
-}
-
 // Reset empties the ledger, keeping capacity (the Reset-reuse contract
 // of the serve loop and the benches).
 func (r *Recorder) Reset() {

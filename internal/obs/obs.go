@@ -18,7 +18,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"time"
 )
@@ -257,17 +256,6 @@ func (r *Registry) AddGauge(name string, delta float64) {
 	r.mu.Unlock()
 }
 
-// GaugeValue reads a named gauge back (0 when unset or disabled) —
-// a test and digest hook, not a hot path.
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Count accumulates v into a labeled series (full series name, labels
 // included). Series are registered lazily at fold time.
 func (r *Registry) Count(series string, v float64) {
@@ -336,16 +324,6 @@ func (p *Progress) Set(done int64) {
 	if done > p.st.done {
 		p.st.done = done
 	}
-	p.r.mu.Unlock()
-}
-
-// Add advances completion by n.
-func (p *Progress) Add(n int64) {
-	if p == nil {
-		return
-	}
-	p.r.mu.Lock()
-	p.st.done += n
 	p.r.mu.Unlock()
 }
 
@@ -506,14 +484,4 @@ func (r *Registry) SeriesValue(series string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.series[series]
-}
-
-// sortedKeys returns m's keys sorted (snapshot helper).
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -31,10 +31,8 @@ func TestNilRegistryNoOps(t *testing.T) {
 	sh.Fold()
 	p := r.NewProgress("task", 10)
 	p.Set(4)
-	p.Add(1)
 	sp := r.StartSpan("stage")
 	sp.End()
-	r.RecordSpan("stage", time.Millisecond)
 	if got := r.CounterValue("x_total"); got != 0 {
 		t.Errorf("nil CounterValue = %d", got)
 	}
@@ -146,10 +144,9 @@ func TestProgressMonotoneSet(t *testing.T) {
 	p := r.NewProgress("windows", 10)
 	p.Set(4)
 	p.Set(2) // stale frontier report: must not move backwards
-	p.Add(1)
 	m := r.Manifest(RunMeta{})
-	if len(m.Progress) != 1 || m.Progress[0].Done != 5 || m.Progress[0].Total != 10 {
-		t.Fatalf("progress = %+v, want done=5 total=10", m.Progress)
+	if len(m.Progress) != 1 || m.Progress[0].Done != 4 || m.Progress[0].Total != 10 {
+		t.Fatalf("progress = %+v, want done=4 total=10", m.Progress)
 	}
 	// Re-registering keeps the tracker and only grows the total.
 	p2 := r.NewProgress("windows", 8)
@@ -176,7 +173,8 @@ func populated() *Registry {
 	r.SetGauge("fbdcnet_test_util", 0.75)
 	sp := r.StartSpan("stage-a")
 	sp.End()
-	r.RecordSpan("stage-b", 1500*time.Millisecond)
+	t0 := time.Now()
+	r.RecordSpanAt("stage-b", t0, t0.Add(1500*time.Millisecond))
 	r.NewProgress("windows", 4).Set(3)
 	return r
 }

@@ -2,22 +2,18 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Live exposition: Serve binds an HTTP listener and exports the registry
-// three ways — Prometheus text at /metrics, expvar JSON at /debug/vars,
-// and a plain-text progress page at / — all reading only folded state
-// under the registry mutex, so scraping a live run races with nothing
-// and perturbs nothing.
+// two ways — Prometheus text at /metrics and a plain-text progress page
+// at / — both reading only folded state under the registry mutex, so
+// scraping a live run races with nothing and perturbs nothing.
 
 // Server is a running metrics endpoint.
 type Server struct {
@@ -26,14 +22,6 @@ type Server struct {
 	done chan struct{} // closed when the accept loop goroutine returns
 }
 
-// liveRegistry backs the process-wide expvar publication: expvar
-// variables are global and cannot be unpublished, so the handler reads
-// whichever registry was most recently served.
-var (
-	liveRegistry atomic.Pointer[Registry]
-	expvarOnce   sync.Once
-)
-
 // Serve starts the metrics endpoint on addr (host:port; port 0 picks a
 // free one). The returned server reports the bound address via Addr.
 func Serve(addr string, r *Registry) (*Server, error) {
@@ -41,18 +29,11 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listening on %s: %v", addr, err)
 	}
-	liveRegistry.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("fbdcnet", expvar.Func(func() any {
-			return liveRegistry.Load().Manifest(RunMeta{Tool: "live"})
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, r.PrometheusText())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" && req.URL.Path != "/progress" {
 			http.NotFound(w, req)

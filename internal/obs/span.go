@@ -70,20 +70,6 @@ func (s Span) End() {
 	r.mu.Unlock()
 }
 
-// RecordSpan folds one completed execution of a named stage measured by
-// the caller — used where the stage body is too fine-grained to carry a
-// full Span (e.g. each frontier merge of a fleet partial).
-func (r *Registry) RecordSpan(name string, wall time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.spanStats(name)
-	st.count++
-	st.wallNs += wall.Nanoseconds()
-	r.mu.Unlock()
-}
-
 // RecordSpanAt folds one completed execution measured by the caller with
 // known wall-clock endpoints, placing it on the timeline ledger as well
 // as in the stage totals — used for spans whose lifetime outlives any

@@ -104,9 +104,6 @@ type Header struct {
 // the flow-interarrival analysis, Fig. 14).
 func (h Header) SYN() bool { return h.Flags&FlagSYN != 0 }
 
-// FIN reports whether the FIN flag is set.
-func (h Header) FIN() bool { return h.Flags&FlagFIN != 0 }
-
 // EncodedSize is the fixed length in bytes of a marshaled Header.
 const EncodedSize = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 4 // 26
 

@@ -74,8 +74,7 @@ func TestUnmarshalShortBuffer(t *testing.T) {
 }
 
 func TestFlagHelpers(t *testing.T) {
-	h := Header{Flags: FlagSYN | FlagACK}
-	if !h.SYN() || h.FIN() {
+	if !(Header{Flags: FlagSYN | FlagACK}).SYN() || (Header{Flags: FlagFIN | FlagACK}).SYN() {
 		t.Fatal("flag helpers wrong")
 	}
 }

@@ -2,16 +2,16 @@
 // generator used throughout the simulator.
 //
 // Experiments in this repository must be exactly reproducible from a seed:
-// every subsystem receives an explicit *rng.Source (usually forked from a
-// parent via Fork) rather than sharing global state. The generator is
-// xoshiro256** seeded through splitmix64, which has good statistical
-// quality for simulation workloads and is trivially portable.
+// every subsystem receives an explicit *rng.Source (usually keyed by
+// NewKeyed from the seed and its task) rather than sharing global state.
+// The generator is xoshiro256** seeded through splitmix64, which has good
+// statistical quality for simulation workloads and is trivially portable.
 package rng
 
 import "math"
 
 // Source is a deterministic random number generator. It is not safe for
-// concurrent use; fork one per goroutine with Fork.
+// concurrent use; give each goroutine its own, keyed with NewKeyed.
 type Source struct {
 	s [4]uint64
 }
@@ -42,17 +42,10 @@ func New(seed uint64) *Source {
 	return &r
 }
 
-// Fork derives an independent child generator from r. The child's stream
-// is decorrelated from both the parent's subsequent output and from other
-// children.
-func (r *Source) Fork() *Source {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 // NewKeyed returns a Source whose stream is a pure function of the
 // (seed, keys...) tuple: the same tuple always yields the same stream and
 // distinct tuples yield decorrelated streams. It is the parallel engine's
-// replacement for a sequentially Fork-chained generator — a worker
+// replacement for a sequentially chained generator — a worker
 // handling shard (window, shard) seeds NewKeyed(seed, window, shard) and
 // gets a stream independent of which worker runs it and in what order,
 // which is what makes sharded collection worker-count-invariant.
@@ -150,25 +143,4 @@ func (r *Source) Exp() float64 {
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

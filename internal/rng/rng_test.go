@@ -37,15 +37,6 @@ func TestZeroSeedWorks(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Fork()
-	c2 := parent.Fork()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("sibling forks produced identical first outputs")
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	r := New(3)
 	err := quick.Check(func(n uint64) bool {
@@ -155,42 +146,6 @@ func TestBoolProbability(t *testing.T) {
 	frac := float64(hits) / n
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) hit rate %v", frac)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	err := quick.Check(func(seed uint64) bool {
-		n := int(seed%50) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(29)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }
 

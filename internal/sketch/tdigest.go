@@ -233,12 +233,6 @@ func (t *TDigest) Merge(o *TDigest) {
 	}
 }
 
-// Centroids returns the number of compacted centroids (diagnostics).
-func (t *TDigest) Centroids() int {
-	t.compress()
-	return len(t.centroids)
-}
-
 // Reset clears the digest without releasing its backing arrays.
 func (t *TDigest) Reset() {
 	t.centroids = t.centroids[:0]

@@ -1,8 +1,6 @@
 // Package stats provides the streaming and batch statistics used by the
-// analysis pipeline: moment accumulators, exact percentile sets, log-bucket
-// histograms for wide-dynamic-range quantities (flow sizes span 9 orders
-// of magnitude in the paper's figures), CDF extraction, time-binned
-// series, and top-k byte counters.
+// analysis pipeline: moment accumulators, exact quantile samples and
+// their CDFs, time-binned series, and top-k byte counters.
 package stats
 
 import (
@@ -17,30 +15,15 @@ type Moments struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (m *Moments) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
-
-// N returns the number of observations.
-func (m *Moments) N() int64 { return m.n }
 
 // Mean returns the running mean (0 for an empty accumulator).
 func (m *Moments) Mean() float64 { return m.mean }
@@ -56,14 +39,8 @@ func (m *Moments) Var() float64 {
 // Std returns the population standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
 
-// Min returns the smallest observation (0 if empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 if empty).
-func (m *Moments) Max() float64 { return m.max }
-
 // Sample collects raw observations for exact quantiles. Use for bounded
-// datasets (per-experiment analyses); use Histogram for unbounded streams.
+// datasets (per-experiment analyses).
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -130,16 +107,6 @@ func (s *Sample) Quantile(p float64) float64 {
 // Median returns the 0.5 quantile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// Percentiles evaluates Quantile at each of the given percentile points
-// (expressed in [0,1]).
-func (s *Sample) Percentiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = s.Quantile(p)
-	}
-	return out
-}
-
 // CDF returns (values, cumulative fractions) suitable for plotting: values
 // are the sorted observations, fractions are (i+1)/n.
 func (s *Sample) CDF() (values, fractions []float64) {
@@ -170,73 +137,6 @@ func (s *Sample) Values() []float64 {
 	return s.xs
 }
 
-// LogHistogram buckets positive values into logarithmically spaced bins.
-// It provides approximate quantiles over unbounded streams with bounded
-// memory, with relative error bounded by the bucket growth factor.
-type LogHistogram struct {
-	base    float64 // bucket boundary growth factor, e.g. 1.2
-	lnBase  float64
-	min     float64 // left edge of bucket 0
-	counts  []int64
-	total   int64
-	zeroCnt int64 // values <= 0 or < min land here
-}
-
-// NewLogHistogram creates a histogram covering [min, +inf) with bucket
-// boundaries min*base^k. Typical: NewLogHistogram(1, 1.15) for byte sizes.
-func NewLogHistogram(min, base float64) *LogHistogram {
-	if min <= 0 || base <= 1 {
-		panic("stats: LogHistogram needs min > 0 and base > 1")
-	}
-	return &LogHistogram{base: base, lnBase: math.Log(base), min: min}
-}
-
-func (h *LogHistogram) bucket(x float64) int {
-	return int(math.Log(x/h.min) / h.lnBase)
-}
-
-// Add records one observation.
-func (h *LogHistogram) Add(x float64) {
-	h.total++
-	if x < h.min {
-		h.zeroCnt++
-		return
-	}
-	b := h.bucket(x)
-	if b >= len(h.counts) {
-		grown := make([]int64, b+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[b]++
-}
-
-// N returns the number of observations recorded.
-func (h *LogHistogram) N() int64 { return h.total }
-
-// Quantile returns an approximate p-quantile (bucket upper edge of the
-// bucket containing the rank).
-func (h *LogHistogram) Quantile(p float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	rank := int64(p * float64(h.total))
-	if rank >= h.total {
-		rank = h.total - 1
-	}
-	if rank < h.zeroCnt {
-		return h.min
-	}
-	acc := h.zeroCnt
-	for b, c := range h.counts {
-		acc += c
-		if acc > rank {
-			return h.min * math.Pow(h.base, float64(b+1))
-		}
-	}
-	return h.min * math.Pow(h.base, float64(len(h.counts)))
-}
-
 // Counter tracks per-key byte (or packet) totals; keys are generic strings
 // formatted by the caller (flow/host/rack identifiers).
 type Counter struct {
@@ -248,9 +148,6 @@ func NewCounter() *Counter { return &Counter{m: make(map[string]float64)} }
 
 // Add accumulates v against key.
 func (c *Counter) Add(key string, v float64) { c.m[key] += v }
-
-// Get returns the accumulated value for key.
-func (c *Counter) Get(key string) float64 { return c.m[key] }
 
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.m) }
@@ -336,9 +233,6 @@ func (ts *TimeSeries) Add(t, v float64) {
 
 // Bins returns the accumulated per-bin sums.
 func (ts *TimeSeries) Bins() []float64 { return ts.bins }
-
-// BinWidth returns the bin width in seconds.
-func (ts *TimeSeries) BinWidth() float64 { return ts.binWidth }
 
 // String renders a short summary, mainly for debugging.
 func (ts *TimeSeries) String() string {

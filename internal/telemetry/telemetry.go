@@ -211,9 +211,6 @@ func NewSink(seed uint64, rate float64) *Sink {
 	}
 }
 
-// Rate returns the configured flow sampling fraction.
-func (s *Sink) Rate() float64 { return s.rate }
-
 // RegisterSwitch assigns the next dense switch ID. Fabrics register their
 // switches in a fixed order, so IDs are stable across runs and across the
 // per-window fabrics of one experiment.

@@ -25,7 +25,6 @@ const (
 	ElemCSW
 	// ElemFC is datacenter A's post-B Fat Cat aggregation switch.
 	ElemFC
-	numElementKinds
 )
 
 // String implements fmt.Stringer.

@@ -75,7 +75,6 @@ const (
 	ClusterService
 	ClusterCache
 	ClusterDB
-	numClusterTypes
 )
 
 // ClusterTypes lists every cluster type once, in Table 3's column order.
@@ -112,7 +111,6 @@ const (
 	IntraCluster
 	IntraDatacenter
 	InterDatacenter
-	numLocalities
 )
 
 // Localities lists the four inter-host tiers in the order the paper's
@@ -242,9 +240,6 @@ func (t *Topology) HostCluster(h HostID) int { return t.Racks[t.hostRack[h]].Clu
 func (t *Topology) HostDC(h HostID) int {
 	return t.Clusters[t.Racks[t.hostRack[h]].Cluster].Datacenter
 }
-
-// HostSite returns the site of host h.
-func (t *Topology) HostSite(h HostID) int { return t.Datacenters[t.HostDC(h)].Site }
 
 // HostRole returns the role of host h.
 func (t *Topology) HostRole(h HostID) Role { return t.Racks[t.hostRack[h]].Role }
@@ -394,16 +389,6 @@ func (t *Topology) RoleRackRangeInDC(r Role, dc int) (lo, hi int) {
 // ascending host order. Cold-path convenience; hot paths use RoleSet.
 func (t *Topology) HostsByRole(r Role) []HostID {
 	return t.RoleSet(r).AppendTo(nil)
-}
-
-// HostsByRoleInCluster materializes hosts with role r inside cluster c.
-func (t *Topology) HostsByRoleInCluster(r Role, c int) []HostID {
-	return t.RoleSetInCluster(r, c).AppendTo(nil)
-}
-
-// HostsByRoleInDC materializes hosts with role r inside datacenter dc.
-func (t *Topology) HostsByRoleInDC(r Role, dc int) []HostID {
-	return t.RoleSetInDC(r, dc).AppendTo(nil)
 }
 
 // ClustersOfType returns the IDs of all clusters with the given type.

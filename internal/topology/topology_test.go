@@ -192,17 +192,17 @@ func TestFrontendRackRoleFractions(t *testing.T) {
 func TestHostsByRoleInClusterAndDC(t *testing.T) {
 	top := tiny(t)
 	fe := top.ClustersOfType(ClusterFrontend)[0]
-	webs := top.HostsByRoleInCluster(RoleWeb, fe)
+	webs := top.RoleSetInCluster(RoleWeb, fe).AppendTo(nil)
 	if len(webs) == 0 {
 		t.Fatal("no web hosts in frontend cluster")
 	}
 	for _, h := range webs {
 		if top.HostCluster(h) != fe || top.HostRole(h) != RoleWeb {
-			t.Fatal("HostsByRoleInCluster returned a wrong host")
+			t.Fatal("RoleSetInCluster holds a wrong host")
 		}
 	}
 	dc := top.Clusters[fe].Datacenter
-	webDC := top.HostsByRoleInDC(RoleWeb, dc)
+	webDC := top.RoleSetInDC(RoleWeb, dc).AppendTo(nil)
 	if len(webDC) < len(webs) {
 		t.Fatal("DC-wide web hosts fewer than cluster's")
 	}
@@ -335,7 +335,7 @@ func TestColumnarMatchesReferenceAoS(t *testing.T) {
 			if got := top.HostDC(h); got != rh.dc {
 				t.Fatalf("%v host %d: dc %d, want %d", sc, i, got, rh.dc)
 			}
-			if got := top.HostSite(h); got != rh.site {
+			if got := top.Datacenters[top.HostDC(h)].Site; got != rh.site {
 				t.Fatalf("%v host %d: site %d, want %d", sc, i, got, rh.site)
 			}
 			if got := top.HostRole(h); got != rh.role {

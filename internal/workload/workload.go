@@ -366,8 +366,3 @@ func (g *Gen) Poisson(ratePerSec float64, fn func()) {
 	}
 	g.Eng.After(netsim.Time(g.R.Exp()*mean), tick)
 }
-
-// Choose returns a uniformly random element of hosts.
-func (g *Gen) Choose(hosts []topology.HostID) topology.HostID {
-	return hosts[g.R.Intn(len(hosts))]
-}
