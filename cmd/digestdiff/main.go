@@ -25,6 +25,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -83,29 +84,40 @@ func bisect(m *obs.Manifest, d audit.Divergence, workers int) error {
 	return nil
 }
 
-func main() {
-	doBisect := flag.Bool("bisect", false, "re-run the divergent fleet-collect cell at 1 worker vs -workers and report whether it is scheduling-sensitive")
-	workers := flag.Int("workers", 0, "tagger count of the bisect probe's parallel arm (0 = GOMAXPROCS)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: digestdiff [-bisect [-workers N]] A.json B.json")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run compares the two manifests named in args and returns the exit
+// status: 0 identical, 1 divergent, 2 usage or operational error (0 for
+// -h).
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	doBisect := fs.Bool("bisect", false, "re-run the divergent fleet-collect cell at 1 worker vs -workers and report whether it is scheduling-sensitive")
+	workers := fs.Int("workers", 0, "tagger count of the bisect probe's parallel arm (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	pathA, pathB := flag.Arg(0), flag.Arg(1)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: digestdiff [-bisect [-workers N]] A.json B.json")
+		return 2
+	}
+	pathA, pathB := fs.Arg(0), fs.Arg(1)
 	mA, cpsA, err := loadLedger(pathA)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "digestdiff: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	_, cpsB, err := loadLedger(pathB)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "digestdiff: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	d, diverged := audit.Diff(cpsA, cpsB)
 	if !diverged {
 		fmt.Printf("digestdiff: ledgers identical (%d checkpoints)\n", len(cpsA))
-		return
+		return 0
 	}
 	fmt.Printf("digestdiff: first divergence at %s\n", d.String())
 	fmt.Printf("digestdiff: A=%s B=%s\n", pathA, pathB)
@@ -114,5 +126,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "digestdiff: bisect: %v\n", err)
 		}
 	}
-	os.Exit(1)
+	return 1
 }

@@ -93,11 +93,13 @@ func (o *options) aggregate(sys *core.System) int {
 	wait := time.Duration(o.reconnectWait) * time.Second
 	network, addr := core.ParseListenSpec(o.listen)
 	if o.spawnLocal {
-		if err := h.AnnounceAgentMetrics(h.Agents, logger); err != nil {
+		var metrics []string
+		metrics, err = h.AnnounceAgentMetrics(h.Agents, logger)
+		if err != nil {
 			logger.Error("bad -metrics-addr", "err", err)
 			return 2
 		}
-		agentArgs := h.AgentArgs(sys.Cfg, h.Agents)
+		agentArgs := h.AgentArgs(sys.Cfg, metrics)
 		var spawn core.AgentSpawner
 		spawn, err = core.SelfExecSpawner(func(a, inc int) []string { return agentArgs(network+":"+addr, a, inc) })
 		if err != nil {

@@ -22,11 +22,13 @@
 //	manifestcheck -trace run_trace.json [more.json ...]
 //	manifestcheck -audit run_manifest.json [more.json ...]
 //
-// Exit status is 0 when every file validates, 1 otherwise.
+// Exit status is 0 when every file validates, 1 otherwise, and 2 on a
+// usage error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,16 +64,26 @@ func checkMemCeiling(m *obs.Manifest) error {
 	return nil
 }
 
-func main() {
-	trace := flag.Bool("trace", false, "arguments are Chrome trace-event JSON files; validate their structure instead of the manifest schema")
-	auditReq := flag.Bool("audit", false, "require a valid audit checkpoint ledger in each manifest (fails manifests written without -audit)")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: manifestcheck [-trace] FILE.json [...]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run validates every file named in args and returns the exit status:
+// 0 when all validate (or -h), 1 when any fails, 2 on a usage error.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	trace := fs.Bool("trace", false, "arguments are Chrome trace-event JSON files; validate their structure instead of the manifest schema")
+	auditReq := fs.Bool("audit", false, "require a valid audit checkpoint ledger in each manifest (fails manifests written without -audit)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(os.Stderr, "usage: manifestcheck [-trace | -audit] FILE.json [...]")
+		return 2
 	}
 	bad := 0
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "manifestcheck: %v\n", err)
@@ -116,6 +128,7 @@ func main() {
 		fmt.Printf("manifestcheck: %s ok\n", path)
 	}
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -111,10 +111,11 @@ func Example_webfrontend() {
 		}
 	}
 
-	// Build the cluster's rack-to-rack matrix from fleet-mode flows
-	// through the Fbflow pipeline: the bipartite Web↔cache pattern.
-	ds := fbflow.NewDataset()
-	pipe := fbflow.NewPipeline(topo, 2, ds.Add)
+	// Build the cluster's rack-to-rack matrix from fleet-mode flows,
+	// tagged into a Partial and merged into a Dataset as the fleet
+	// collector does: the bipartite Web↔cache pattern.
+	tagger := fbflow.NewTagger(topo)
+	part := fbflow.NewPartial()
 	r := rng.New(1)
 	prog := services.NewFleetProgram(sys.Pick, services.DefaultParams())
 	for _, rid := range topo.Clusters[fe].Racks {
@@ -122,11 +123,14 @@ func Example_webfrontend() {
 			h := topo.Racks[rid].Host(i)
 			prog.Flows(r, h, 60, 1.0, 8,
 				func(dst topology.HostID, bytes float64) {
-					pipe.AddFlow(0, topo.Addr(h), topo.Addr(dst), bytes)
+					if rec, ok := tagger.Flow(0, topo.Addr(h), topo.Addr(dst), bytes); ok {
+						part.Add(rec)
+					}
 				})
 		}
 	}
-	pipe.Close()
+	ds := fbflow.NewDataset()
+	ds.MergePartial(part)
 	fmt.Println()
 	heat := render.Heatmap("Frontend rack-to-rack demand (Fig. 5b style; rows=src, cols=dst):",
 		ds.RackMatrix(topo, fe))

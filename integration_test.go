@@ -92,17 +92,17 @@ func TestFbflowSamplingEstimatesTrueBytes(t *testing.T) {
 	topo, pk := integrationTopo(t)
 	host := topo.HostsByRole(topology.RoleWeb)[0]
 
-	ds := fbflow.NewDataset()
-	pipe := fbflow.NewPipeline(topo, 2, ds.Add)
+	part := fbflow.NewPartial()
 	// A modest rate keeps the sampling estimate's variance testable.
-	agent := fbflow.NewAgent(pipe, 100, 7, func() int64 { return 0 })
+	agent := fbflow.NewAgent(fbflow.NewTagger(topo), part, 100, 7, func() int64 { return 0 })
 
 	trueBytes := int64(0)
 	counter := workload.CollectorFunc(func(h packet.Header) { trueBytes += int64(h.Size) })
 	tr := services.NewTrace(pk, host, 505, services.DefaultParams(),
 		workload.Fanout{agent, counter})
 	tr.Run(20 * netsim.Second)
-	pipe.Close()
+	ds := fbflow.NewDataset()
+	ds.MergePartial(part)
 
 	est := ds.TotalBytes()
 	if math.Abs(est-float64(trueBytes)) > 0.1*float64(trueBytes) {

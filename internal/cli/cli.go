@@ -145,11 +145,13 @@ func ParsePerturb(spec string) (window, shard int, err error) {
 
 // AgentArgs returns the builder of the argument list that re-executes
 // this command as agent id, incarnation inc, dialling connect, with
-// cfg's fleet configuration. -audit propagates so agents ledger and
-// forward their cells; -audit-perturb deliberately does not — the
-// planted divergence belongs only to the aggregator's authoritative
-// ledger.
-func (f *FleetFlags) AgentArgs(cfg core.Config, agents int) func(connect string, id, inc int) []string {
+// cfg's fleet configuration. metrics is the per-agent endpoint table
+// AnnounceAgentMetrics resolved, one entry per agent. -audit propagates
+// so agents ledger and forward their cells; -audit-perturb deliberately
+// does not — the planted divergence belongs only to the aggregator's
+// authoritative ledger.
+func (f *FleetFlags) AgentArgs(cfg core.Config, metrics []string) func(connect string, id, inc int) []string {
+	agents := len(metrics)
 	return func(connect string, id, inc int) []string {
 		args := []string{
 			"-" + f.names.Mode,
@@ -174,7 +176,7 @@ func (f *FleetFlags) AgentArgs(cfg core.Config, agents int) func(connect string,
 		if cfg.Audit.Enabled() {
 			args = append(args, "-audit")
 		}
-		if addr := core.AgentMetricsAddr(f.MetricsAddr, id); addr != "" {
+		if addr := metrics[id]; addr != "" {
 			args = append(args, "-metrics-addr", addr)
 		}
 		return args
@@ -186,18 +188,18 @@ func (f *FleetFlags) AgentArgs(cfg core.Config, agents int) func(connect string,
 // or a port overflow fails the launch here instead of one agent dying
 // later with an opaque bind error. Agents run -quiet, so the resolved
 // table is announced here (a port-0 base makes each agent pick its own
-// free port).
-func (f *FleetFlags) AnnounceAgentMetrics(agents int, logger *slog.Logger) error {
+// free port) and returned for AgentArgs.
+func (f *FleetFlags) AnnounceAgentMetrics(agents int, logger *slog.Logger) ([]string, error) {
 	addrs, err := core.AgentMetricsAddrs(f.MetricsAddr, agents, f.MetricsAddr)
 	if err != nil {
-		return fmt.Errorf("deriving agent metrics endpoints: %w", err)
+		return nil, fmt.Errorf("deriving agent metrics endpoints: %w", err)
 	}
 	for a, addr := range addrs {
 		if addr != "" {
 			logger.Info("agent metrics endpoint", "agent", a, "addr", addr)
 		}
 	}
-	return nil
+	return addrs, nil
 }
 
 // WarnGaps logs a distributed run's coverage gaps, if any.
@@ -217,11 +219,12 @@ func WarnGaps(gaps []core.CoverageGap, logger *slog.Logger) {
 // the process exit status: 0 on success, 1 when collection fails, and 2
 // when the agents' metrics endpoints cannot be derived.
 func (f *FleetFlags) CollectDistributed(sys *core.System, agents int, logger *slog.Logger) int {
-	if err := f.AnnounceAgentMetrics(agents, logger); err != nil {
+	metrics, err := f.AnnounceAgentMetrics(agents, logger)
+	if err != nil {
 		logger.Error("bad -metrics-addr", "err", err)
 		return 2
 	}
-	gaps, err := sys.CollectFleetDistributed(agents, f.AgentArgs(sys.Cfg, agents))
+	gaps, err := sys.CollectFleetDistributed(agents, f.AgentArgs(sys.Cfg, metrics))
 	if err != nil {
 		logger.Error("distributed fleet collection failed", "err", err)
 		return 1

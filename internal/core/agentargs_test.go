@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"fbdcnet/internal/cli"
 	"fbdcnet/internal/core"
 )
+
+var discard = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // parseFleet parses args through the shared flag registration and
 // builds the System the command would run.
@@ -20,7 +23,7 @@ func parseFleet(t *testing.T, args []string) (*cli.FleetFlags, core.Config, *cor
 		t.Fatalf("parse %v: %v", args, err)
 	}
 	cfg := core.QuickConfig()
-	if err := f.Apply(&cfg, slog.New(slog.NewTextHandler(io.Discard, nil))); err != nil {
+	if err := f.Apply(&cfg, discard); err != nil {
 		t.Fatalf("apply %v: %v", args, err)
 	}
 	return f, cfg, core.MustNewSystem(cfg)
@@ -30,7 +33,7 @@ func parseFleet(t *testing.T, args []string) (*cli.FleetFlags, core.Config, *cor
 // parses them back through the agent flag set: the rebuilt System must
 // fingerprint like the parent's (the HELLO check would fail otherwise),
 // the identity and fault flags must arrive, and -audit-perturb must
-// never propagate.
+// never propagate. Each agent gets its own metrics port, base + 1 + id.
 func TestAgentArgsRoundTrip(t *testing.T) {
 	const agents = 3
 	for _, parent := range [][]string{
@@ -42,7 +45,11 @@ func TestAgentArgsRoundTrip(t *testing.T) {
 		{"-matrix", "-sketch", "-audit", "-audit-perturb", "0:1", "-agent-faults"},
 	} {
 		pf, pcfg, psys := parseFleet(t, parent)
-		build := pf.AgentArgs(pcfg, agents)
+		metrics, err := pf.AnnounceAgentMetrics(agents, discard)
+		if err != nil {
+			t.Fatalf("%v: %v", parent, err)
+		}
+		build := pf.AgentArgs(pcfg, metrics)
 		for id := 0; id < agents; id++ {
 			args := build("unix:/tmp/agg.sock", id, 1)
 			cf, ccfg, csys := parseFleet(t, args)
@@ -58,7 +65,11 @@ func TestAgentArgsRoundTrip(t *testing.T) {
 			if cf.AuditPerturb != "" {
 				t.Errorf("%v agent %d: -audit-perturb propagated: %v", parent, id, args)
 			}
-			if want := core.AgentMetricsAddr(pf.MetricsAddr, id); cf.MetricsAddr != want {
+			want := ""
+			if pf.MetricsAddr != "" {
+				want = fmt.Sprintf("127.0.0.1:%d", 9101+id)
+			}
+			if cf.MetricsAddr != want {
 				t.Errorf("%v agent %d: metrics address %q, want %q", parent, id, cf.MetricsAddr, want)
 			}
 		}

@@ -315,14 +315,6 @@ func TestAgentMetricsAddrs(t *testing.T) {
 			t.Fatalf("agent %d addr = %q, want %q", i, addrs[i], w)
 		}
 	}
-	// Each derived address must also match the per-agent derivation the
-	// re-exec argument builders use.
-	for a := range addrs {
-		if one := AgentMetricsAddr("127.0.0.1:9090", a); one != addrs[a] {
-			t.Fatalf("agent %d: table %q != single derivation %q", a, addrs[a], one)
-		}
-	}
-
 	// Empty base: metrics disabled for every agent, no error.
 	addrs, err = AgentMetricsAddrs("", 2)
 	if err != nil || addrs[0] != "" || addrs[1] != "" {
@@ -346,10 +338,11 @@ func TestAgentMetricsAddrs(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "65535") {
 		t.Fatalf("overflow error %q does not explain the limit", err)
 	}
-	// Unparsable bases are errors here (unlike AgentMetricsAddr, which
-	// degrades to "": spawn mode wants the loud failure).
-	if _, err := AgentMetricsAddrs("not-an-addr", 2); err == nil {
-		t.Fatal("unparsable base accepted")
+	// Unparsable bases are errors: spawn mode wants the loud failure.
+	for _, base := range []string{"not-an-addr", "no-port", "host:notanumber"} {
+		if _, err := AgentMetricsAddrs(base, 2); err == nil {
+			t.Errorf("unparsable base %q accepted", base)
+		}
 	}
 }
 

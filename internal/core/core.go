@@ -81,10 +81,9 @@ type Config struct {
 	Parallelism int
 	// Taggers sizes the fbflow tagging stage: the number of concurrent
 	// shard workers of the fleet collection engine, each tagging its
-	// records inline (and the tagger goroutine count for streaming
-	// Pipeline users). 0 means GOMAXPROCS. Like Parallelism, it does not
-	// affect results: shard rng streams are keyed by (seed, window,
-	// shard) and partials merge in a fixed order.
+	// records inline into its own Partial. 0 means GOMAXPROCS. Like
+	// Parallelism, it does not affect results: shard rng streams are
+	// keyed by (seed, window, shard) and partials merge in a fixed order.
 	Taggers int
 
 	// FaultScenario, when non-empty, runs the packet-level degraded-mode

@@ -954,37 +954,15 @@ func (s *System) RunDistributedFleet(network, addr string, agents int, spawn Age
 	return ds, gaps, nil
 }
 
-// AgentMetricsAddr derives agent a's live-metrics listen address from
-// the aggregator's -metrics-addr: the same host with the port offset by
-// 1+a, so one flag fans out to N processes without collisions. Port 0
-// (kernel-assigned) passes through as 0 for every agent; an unparsable
-// base yields "" (metrics endpoint disabled for the agents).
-func AgentMetricsAddr(base string, a int) string {
-	if base == "" {
-		return ""
-	}
-	host, port, err := net.SplitHostPort(base)
-	if err != nil {
-		return ""
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil || p < 0 {
-		return ""
-	}
-	if p == 0 {
-		return net.JoinHostPort(host, "0")
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+1+a))
-}
-
 // AgentMetricsAddrs resolves the full per-agent metrics address table
 // up front — base port + 1 + index for each of the `agents` processes —
 // so spawn mode can detect port collisions and overflows before any
 // child hits an opaque bind error. avoid lists addresses already taken
 // in this run (the aggregator's own metrics endpoint, the dataset
 // listener when it is TCP): a derived address that lands on one of them
-// is reported with both claimants named. Port 0 (kernel-assigned) and
-// an empty base disable the check and derive like AgentMetricsAddr.
+// is reported with both claimants named. An empty base derives "" for
+// every agent (no metrics endpoint); port 0 derives port 0 for every
+// agent (each picks its own free port). Neither is checked.
 func AgentMetricsAddrs(base string, agents int, avoid ...string) ([]string, error) {
 	addrs := make([]string, agents)
 	if base == "" {

@@ -298,9 +298,10 @@ func TestDistributedObsNoPerturbation(t *testing.T) {
 	}
 }
 
-// TestAgentMetricsAddr pins the per-agent endpoint derivation used by
-// -spawn: base port + 1 + agent index, port 0 passes through (each
-// agent picks its own free port), and unparsable bases derive nothing.
+// TestAgentMetricsAddr pins agent a's entry of the -spawn endpoint
+// table: the base host with port base + 1 + a, or port 0 for every
+// agent when the base port is 0. TestAgentMetricsAddrs covers empty,
+// unparsable, colliding and overflowing bases.
 func TestAgentMetricsAddr(t *testing.T) {
 	cases := []struct {
 		base string
@@ -311,13 +312,13 @@ func TestAgentMetricsAddr(t *testing.T) {
 		{"127.0.0.1:9100", 3, "127.0.0.1:9104"},
 		{"localhost:0", 7, "localhost:0"},
 		{":8080", 1, ":8082"},
-		{"", 0, ""},
-		{"no-port", 0, ""},
-		{"host:notanumber", 0, ""},
 	}
 	for _, c := range cases {
-		if got := AgentMetricsAddr(c.base, c.a); got != c.want {
-			t.Errorf("AgentMetricsAddr(%q, %d) = %q, want %q", c.base, c.a, got, c.want)
+		addrs, err := AgentMetricsAddrs(c.base, c.a+1)
+		if err != nil {
+			t.Errorf("AgentMetricsAddrs(%q, %d): %v", c.base, c.a+1, err)
+		} else if addrs[c.a] != c.want {
+			t.Errorf("AgentMetricsAddrs(%q, %d)[%d] = %q, want %q", c.base, c.a+1, c.a, addrs[c.a], c.want)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 
 	// One shared synthesized window of the rack's traffic, at elevated
 	// load so the sweep reaches drop onset within laptop-scale rates.
-	hdrs := s.rackWindow(rack, seconds, 0xc0de, 6)
+	hdrs := s.rackMirror([]int{rack}, netsim.Time(seconds)*netsim.Second, s.Cfg.Params.Scaled(6), 0xc0de)
 	return s.oversubSweep(role, rack, hdrs, factors, seconds)
 }
 
@@ -200,10 +200,7 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		fcfg.RSWUpBps = int64(float64(fcfg.RSWUpBps) / f)
 		fabric := netsim.NewFabric(eng, s.Topo, fcfg)
 		rsw := fabric.RSW(rack)
-		for _, h := range hdrs {
-			h := h
-			eng.At(h.Time, func() { fabric.Inject(h) })
-		}
+		injectAll(eng, fabric, hdrs, 0)
 		dur := netsim.Time(seconds) * netsim.Second
 		eng.Run(dur + netsim.Second)
 
@@ -226,21 +223,6 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		res.Points = append(res.Points, point)
 	}
 	return res
-}
-
-// rackWindow synthesizes and time-sorts one window of mirror traffic for
-// every host in a rack.
-func (s *System) rackWindow(rack, seconds int, salt uint64, boost float64) []packet.Header {
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(p packet.Header) { hdrs = append(hdrs, p) })
-	params := s.Cfg.Params.Scaled(boost)
-	for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-		h := s.Topo.Racks[rack].Host(i)
-		tr := services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect)
-		tr.Run(netsim.Time(seconds) * netsim.Second)
-	}
-	packet.SortByTime(hdrs)
-	return hdrs
 }
 
 // Render prints the oversubscription sweep.

@@ -7,9 +7,7 @@ import (
 	"fbdcnet/internal/analysis"
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/packet"
-	"fbdcnet/internal/services"
 	"fbdcnet/internal/topology"
-	"fbdcnet/internal/workload"
 )
 
 // Degraded-mode experiments: re-run the paper's locality and heavy-hitter
@@ -77,26 +75,10 @@ func (s *System) degradedSeconds() int {
 // headers, which the fabric ignores.
 func (s *System) degradedHeaders() []packet.Header {
 	s.degradedOnce.Do(func() {
-		sec := s.degradedSeconds()
-		horizon := netsim.Time(sec) * netsim.Second
+		horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
 		webRack := s.Topo.HostRack(s.Monitored(topology.RoleWeb))
 		cacheRack := s.Topo.HostRack(s.Monitored(topology.RoleCacheFollower))
-
-		var hdrs []packet.Header
-		collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
-		racks := []int{webRack, cacheRack}
-		if webRack == cacheRack {
-			racks = racks[:1]
-		}
-		for _, rack := range racks {
-			for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-				h := s.Topo.Racks[rack].Host(i)
-				seed := s.Cfg.Seed ^ 0xfa17<<24 ^ uint64(h)<<8
-				tr := services.NewTrace(s.Pick, h, seed, s.Cfg.Params, collect)
-				tr.Run(horizon)
-			}
-		}
-		packet.SortByTime(hdrs)
+		hdrs := s.rackMirror([]int{webRack, cacheRack}, horizon, s.Cfg.Params, 0xfa17<<24)
 		s.degradedHdrs = hdrs
 		for _, h := range hdrs {
 			if h.Key.Src == h.Key.Dst {
@@ -144,10 +126,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	for id := 0; id < s.Topo.NumHosts(); id++ {
 		fab.Sink(topology.HostID(id)).OnBatch = keep
 	}
-	for _, h := range hdrs {
-		h := h
-		eng.At(h.Time, func() { fab.Inject(h) })
-	}
+	injectAll(eng, fab, hdrs, 0)
 	runSpan := s.Cfg.Obs.StartSpan("netsim-run")
 	eng.Run(horizon + faultDrainGrace)
 	runSpan.End()

@@ -85,23 +85,9 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 		start := netsim.Time(w) * winDur
 
 		// Synthesize each rack host's mirror stream for this window and
-		// collect it for time-ordered injection.
-		var hdrs []packet.Header
-		collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
-		for _, rack := range []int{webRack, cacheRack} {
-			for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-				h := s.Topo.Racks[rack].Host(i)
-				seed := s.Cfg.Seed ^ 0xf15<<20 ^ uint64(h)<<8 ^ uint64(w)
-				tr := services.NewTrace(s.Pick, h, seed, params, collect)
-				tr.Run(winDur)
-			}
-		}
-		packet.SortByTime(hdrs)
-		for _, h := range hdrs {
-			h := h
-			h.Time += int64(start)
-			eng.At(h.Time, func() { fabric.Inject(h) })
-		}
+		// inject it in time order, shifted to the window's start.
+		hdrs := s.rackMirror([]int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w))
+		injectAll(eng, fabric, hdrs, start)
 
 		// Reset edge counters so per-window utilization is clean.
 		for _, l := range fabric.LinksByTier(netsim.TierHostRSW) {
@@ -124,6 +110,32 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 	res.WebMedian, res.WebMax = webBuf.Median(), webBuf.Max()
 	res.CacheMedian, res.CacheMax = cacheBuf.Median(), cacheBuf.Max()
 	return res
+}
+
+// rackMirror synthesizes the mirror stream of every host in racks over
+// dur and merges the streams in time order. Host h's trace is seeded
+// Seed ^ salt ^ h<<8; each experiment passes its own salt.
+func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params, salt uint64) []packet.Header {
+	var hdrs []packet.Header
+	collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
+	for _, rack := range racks {
+		rk := &s.Topo.Racks[rack]
+		for i := 0; i < int(rk.NumHosts); i++ {
+			h := rk.Host(i)
+			services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect).Run(dur)
+		}
+	}
+	packet.SortByTime(hdrs)
+	return hdrs
+}
+
+// injectAll schedules each header's injection into fab at its timestamp
+// plus offset.
+func injectAll(eng *netsim.Engine, fab *netsim.Fabric, hdrs []packet.Header, offset netsim.Time) {
+	for _, h := range hdrs {
+		h.Time += offset
+		eng.At(h.Time, func() { fab.Inject(h) })
+	}
 }
 
 // rackEdgeUtil returns the mean utilization of a rack's host uplinks over

@@ -7,12 +7,9 @@ import (
 	"sync"
 
 	"fbdcnet/internal/netsim"
-	"fbdcnet/internal/packet"
 	"fbdcnet/internal/render"
-	"fbdcnet/internal/services"
 	"fbdcnet/internal/telemetry"
 	"fbdcnet/internal/topology"
-	"fbdcnet/internal/workload"
 )
 
 // In-fabric telemetry experiment: deterministically sampled flows carry
@@ -206,20 +203,8 @@ func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w 
 
 	load := DiurnalFactor(float64(w) / float64(tcfg.Windows))
 	params := s.Cfg.Params.Scaled(load * tcfg.LoadBoost)
-	rack := s.Topo.HostRack(focus)
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
-	for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-		h := s.Topo.Racks[rack].Host(i)
-		seed := s.Cfg.Seed ^ 0x7e1e<<24 ^ uint64(h)<<8 ^ uint64(w)
-		tr := services.NewTrace(s.Pick, h, seed, params, collect)
-		tr.Run(winDur)
-	}
-	packet.SortByTime(hdrs)
-	for _, h := range hdrs {
-		h := h
-		eng.At(h.Time, func() { fab.Inject(h) })
-	}
+	hdrs := s.rackMirror([]int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w))
+	injectAll(eng, fab, hdrs, 0)
 	fab.StartQueueSampling(tcfg.Interval, winDur)
 	eng.Run(winDur + faultDrainGrace)
 	s.foldFabricStats(fab)

@@ -38,15 +38,6 @@ func (c Constant) Sample(*rng.Source) float64 { return c.V }
 // Mean implements Dist.
 func (c Constant) Mean() float64 { return c.V }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *rng.Source) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // Exponential is the exponential distribution with the given Rate (λ).
 type Exponential struct{ Rate float64 }
 
@@ -254,16 +245,3 @@ func (e *Empirical) Mean() float64 {
 	}
 	return mean
 }
-
-// Scaled wraps a distribution, multiplying every sample by Factor. Useful
-// for diurnal modulation of a fitted base distribution.
-type Scaled struct {
-	D      Dist
-	Factor float64
-}
-
-// Sample implements Dist.
-func (s Scaled) Sample(r *rng.Source) float64 { return s.Factor * s.D.Sample(r) }
-
-// Mean implements Dist.
-func (s Scaled) Mean() float64 { return s.Factor * s.D.Mean() }

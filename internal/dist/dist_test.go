@@ -30,26 +30,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestUniformMoments(t *testing.T) {
-	u := Uniform{Lo: 2, Hi: 10}
-	r := rng.New(2)
-	m := sampleMean(u, r, 100000)
-	if math.Abs(m-u.Mean()) > 0.05 {
-		t.Fatalf("uniform mean %v, want %v", m, u.Mean())
-	}
-}
-
-func TestUniformBounds(t *testing.T) {
-	u := Uniform{Lo: -3, Hi: 7}
-	r := rng.New(3)
-	for i := 0; i < 10000; i++ {
-		v := u.Sample(r)
-		if v < -3 || v >= 7 {
-			t.Fatalf("uniform out of range: %v", v)
-		}
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	e := Exponential{Rate: 4}
 	r := rng.New(4)
@@ -239,14 +219,6 @@ func TestEmpiricalMonotone(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScaled(t *testing.T) {
-	s := Scaled{D: Constant{V: 3}, Factor: 2}
-	r := rng.New(12)
-	if s.Sample(r) != 6 || s.Mean() != 6 {
-		t.Fatal("scaled distribution wrong")
 	}
 }
 

@@ -15,10 +15,10 @@ const (
 )
 
 // Dataset is the analytics store at the end of the pipeline (the
-// Scuba/Hive stage of Figure 3): thread-safe aggregation of tagged
-// records along the dimensions the paper's fleet analyses query. Raw
-// records are not retained; memory stays bounded at matrix-of-racks
-// scale.
+// Scuba/Hive stage of Figure 3): thread-safe aggregation of the tagged
+// records merged into it from Partials, along the dimensions the paper's
+// fleet analyses query. Raw records are not retained; memory stays
+// bounded at matrix-of-racks scale.
 //
 // The layout is columnar, like Partial's: the enum-keyed aggregates are
 // dense arrays, the per-host/rack/cluster ones are ID-indexed vectors,
@@ -105,8 +105,8 @@ func (x *IDVec) forEach(f func(id int, b float64)) {
 	}
 }
 
-// The add path. Add (one record) and MergePartial (one partial's
-// per-key sums) both fold through these, one function per aggregate.
+// The add path. MergePartial folds a partial's per-key sums through
+// these, one function per aggregate.
 
 func (d *Dataset) addLocality(ct, l int, b float64) {
 	d.locality[ct][l] += b
@@ -133,26 +133,6 @@ func (d *Dataset) rackRow(src int) *openhash.Table[float64] {
 
 func (d *Dataset) addRackPair(src, dst int, b float64) {
 	*d.rackRow(src).Slot(uint64(dst)) += b
-}
-
-// Add ingests one record; safe for concurrent use (it is the pipeline
-// sink).
-func (d *Dataset) Add(r Record) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.totalBytes += r.Bytes
-	d.addLocality(int(r.SrcClusterType), int(r.Locality), r.Bytes)
-	d.addClusterType(int(r.SrcClusterType), r.Bytes)
-	d.addRackPair(int(r.SrcRack), int(r.DstRack), r.Bytes)
-	*d.clusterPair.Slot(packPair(r.SrcCluster, r.DstCluster)) += r.Bytes
-	*d.perMinute.Slot(uint64(r.Minute)) += r.Bytes
-	d.hostOut.add(int(r.Src), r.Bytes)
-	if r.Locality != topology.SameHost && r.Locality != topology.IntraRack {
-		d.rackCross.add(int(r.SrcRack), r.Bytes)
-		if r.Locality != topology.IntraCluster {
-			d.clusterCross.add(int(r.SrcCluster), r.Bytes)
-		}
-	}
 }
 
 // Cardinality returns the merged distinct-population sketches, or nil

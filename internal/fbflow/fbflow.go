@@ -1,36 +1,28 @@
 // Package fbflow reproduces the fleet-wide monitoring pipeline of §3.3.1:
-// per-machine agents sample packet headers (production rate 1:30,000), a
-// Scribe-like stream carries them to tagger processes that annotate each
-// sample with topology metadata (rack, cluster, datacenter, role), and the
-// annotated records land in an aggregation store queried at per-minute
-// granularity — the source of Table 3, Figure 5, and the utilization
-// numbers of §4.1.
+// per-machine agents sample packet headers (production rate 1:30,000),
+// taggers annotate each sample with topology metadata (rack, cluster,
+// datacenter, role), and the annotated records are summed in an
+// aggregation store queried at per-minute granularity — the source of
+// Table 3, Figure 5, and the utilization numbers of §4.1.
 //
-// Two ingestion paths produce identical records:
+// Records reach a Dataset by one path: a Tagger annotates each
+// observation, Partial.Add folds the record into a single-goroutine
+// accumulator, and Dataset.MergePartial folds the partials in a fixed
+// order. Observations come in two granularities:
 //
-//   - Agent: true packet sampling, used when packet streams exist (and to
-//     validate the sampling math).
-//   - Pipeline.AddFlow: flow-granularity ingestion for day-long fleet
+//   - Agent: true packet sampling of a host's header stream, used when
+//     packet streams exist (and to validate the sampling math).
+//   - Tagger.Flow: flow-granularity observations for day-long fleet
 //     experiments, where generating every packet only to discard 29,999
 //     of every 30,000 would be waste.
 package fbflow
 
 import (
-	"sync"
-
 	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/packet"
 	"fbdcnet/internal/rng"
 	"fbdcnet/internal/topology"
 )
-
-// sample is what an agent ships into the stream: a raw header plus
-// capture metadata, before tagging.
-type sample struct {
-	minute int64
-	hdr    packet.Header
-	weight float64 // inverse sampling probability, in packets
-}
 
 // Record is one tagged sample: the unit stored for analysis. Rack,
 // cluster and datacenter IDs are int32 (Load caps rack IDs below 2^17 and
@@ -69,11 +61,10 @@ func (r *Record) FoldAudit(h *audit.Hash) {
 }
 
 // Tagger annotates observations with topology metadata — the tagger stage
-// of Figure 3, factored out of Pipeline so callers can tag inline. The
-// parallel fleet engine runs one logical tagger per shard worker and tags
-// synchronously, which keeps record order (and hence float accumulation
-// order) deterministic; the streaming Pipeline path wraps the same logic
-// in goroutines. A Tagger is stateless and safe for concurrent use.
+// of Figure 3. Callers tag inline: the parallel fleet engine runs one
+// logical tagger per shard worker and tags synchronously, which keeps
+// record order (and hence float accumulation order) deterministic. A
+// Tagger is stateless and safe for concurrent use.
 type Tagger struct {
 	topo *topology.Topology
 }
@@ -136,83 +127,44 @@ func (t *Tagger) Flow(minute int64, src, dst packet.Addr, bytes float64) (Record
 	return t.Header(minute, packet.Header{Key: packet.FlowKey{Src: src, Dst: dst}, Size: 1}, bytes)
 }
 
-// Pipeline wires agents through the tagging stage into a sink. Taggers
-// run concurrently, as in production; Close drains them.
-type Pipeline struct {
-	tagger *Tagger
-	in     chan sample
-	wg     sync.WaitGroup
-}
-
-// NewPipeline starts taggers goroutines annotating samples and delivering
-// records to sink, which must be safe for concurrent use.
-func NewPipeline(topo *topology.Topology, taggers int, sink func(Record)) *Pipeline {
-	if taggers <= 0 {
-		taggers = 1
-	}
-	p := &Pipeline{tagger: NewTagger(topo), in: make(chan sample, 4096)}
-	for i := 0; i < taggers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for s := range p.in {
-				if r, ok := p.tagger.Header(s.minute, s.hdr, s.weight); ok {
-					sink(r)
-				}
-			}
-		}()
-	}
-	return p
-}
-
-// AddFlow ingests one flow-granularity observation directly (the fast
-// path): bytes from src to dst during the given capture minute.
-func (p *Pipeline) AddFlow(minute int64, src, dst packet.Addr, bytes float64) {
-	p.in <- sample{
-		minute: minute,
-		hdr:    packet.Header{Key: packet.FlowKey{Src: src, Dst: dst}, Size: 1},
-		weight: bytes, // Size 1 × weight bytes = bytes; packets approximate
-	}
-}
-
-// Close stops ingestion and waits for taggers to drain.
-func (p *Pipeline) Close() {
-	close(p.in)
-	p.wg.Wait()
-}
-
-// Agent samples a host's packet stream at 1:rate and ships samples into
-// the pipeline. It implements the workload Collector interface. Each
-// agent has its own deterministic sampling source.
+// Agent samples a host's packet stream at 1:rate, tags each sample
+// inline and folds it into a caller-supplied Partial. It implements the
+// workload Collector interface. Each agent has its own deterministic
+// sampling source.
 type Agent struct {
-	p      *Pipeline
+	tagger *Tagger
+	into   *Partial
 	rate   uint64
 	left   uint64
 	r      *rng.Source
 	minute func() int64
 }
 
-// NewAgent creates an agent sampling at 1:rate; minute supplies the
-// current capture minute (production tags with wall-clock capture time).
-func NewAgent(p *Pipeline, rate uint64, seed uint64, minute func() int64) *Agent {
+// NewAgent creates an agent sampling at 1:rate, tagging with tagger and
+// adding the records to into; minute supplies the current capture minute
+// (production tags with wall-clock capture time).
+func NewAgent(tagger *Tagger, into *Partial, rate uint64, seed uint64, minute func() int64) *Agent {
 	if rate == 0 {
 		rate = 1
 	}
-	a := &Agent{p: p, rate: rate, r: rng.New(seed), minute: minute}
+	a := &Agent{tagger: tagger, into: into, rate: rate, r: rng.New(seed), minute: minute}
 	a.left = a.r.Uint64n(rate) + 1
 	return a
 }
 
 // Packet implements the collector interface: count-based sampling with a
 // random phase, statistically equivalent to per-packet Bernoulli at the
-// same rate but cheaper — exactly the nflog configuration.
+// same rate but cheaper — exactly the nflog configuration. A sample
+// whose endpoints the topology does not know is dropped.
 func (a *Agent) Packet(h packet.Header) {
 	a.left--
 	if a.left > 0 {
 		return
 	}
 	a.left = a.rate
-	a.p.in <- sample{minute: a.minute(), hdr: h, weight: float64(a.rate)}
+	if r, ok := a.tagger.Header(a.minute(), h, float64(a.rate)); ok {
+		a.into.Add(r)
+	}
 }
 
 // Packets implements the batch collector interface. At production-style

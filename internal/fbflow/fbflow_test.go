@@ -3,7 +3,6 @@ package fbflow
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 
 	"fbdcnet/internal/packet"
@@ -15,11 +14,34 @@ func testTopo(t *testing.T) *topology.Topology {
 	return topology.MustBuild(topology.Preset(topology.ScaleTiny))
 }
 
+// flow is one flow-granularity observation: bytes from src to dst
+// during a capture minute.
+type flow struct {
+	minute   int64
+	src, dst packet.Addr
+	bytes    float64
+}
+
+// ingest tags each observation with Tagger.Flow, folds the records into
+// one Partial and merges it into a fresh Dataset: the fleet collector's
+// record path. Observations the tagger rejects are dropped.
+func ingest(topo *topology.Topology, obs ...flow) *Dataset {
+	tagger := NewTagger(topo)
+	p := NewPartial()
+	for _, o := range obs {
+		if r, ok := tagger.Flow(o.minute, o.src, o.dst, o.bytes); ok {
+			p.Add(r)
+		}
+	}
+	ds := NewDataset()
+	ds.MergePartial(p)
+	return ds
+}
+
 func TestAgentSamplingRate(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 2, ds.Add)
-	a := NewAgent(p, 100, 42, func() int64 { return 0 })
+	p := NewPartial()
+	a := NewAgent(NewTagger(topo), p, 100, 42, func() int64 { return 0 })
 
 	h := packet.Header{
 		Key:  packet.FlowKey{Src: topo.Addr(0), Dst: topo.Addr(5), Proto: packet.TCP},
@@ -29,7 +51,8 @@ func TestAgentSamplingRate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Packet(h)
 	}
-	p.Close()
+	ds := NewDataset()
+	ds.MergePartial(p)
 
 	// Each 1:100 sample carries weight 100, so the estimate is within 5%
 	// exactly when the sampled count is, and it must be unbiased.
@@ -42,21 +65,11 @@ func TestAgentSamplingRate(t *testing.T) {
 
 func TestTaggerAnnotation(t *testing.T) {
 	topo := testTopo(t)
-	var mu sync.Mutex
-	var recs []Record
-	p := NewPipeline(topo, 1, func(r Record) {
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-	})
 	src, dst := topo.Host(0), topo.Host(5)
-	p.AddFlow(7, src.Addr, dst.Addr, 1234)
-	p.Close()
-
-	if len(recs) != 1 {
-		t.Fatalf("records %d", len(recs))
+	r, ok := NewTagger(topo).Flow(7, src.Addr, dst.Addr, 1234)
+	if !ok {
+		t.Fatal("tagger rejected an in-topology flow")
 	}
-	r := recs[0]
 	if int(r.SrcRack) != src.Rack || int(r.DstRack) != dst.Rack {
 		t.Error("rack annotation wrong")
 	}
@@ -79,10 +92,20 @@ func TestTaggerAnnotation(t *testing.T) {
 
 func TestUnknownAddressDropped(t *testing.T) {
 	topo := testTopo(t)
+	tagger := NewTagger(topo)
+	unknown := packet.Addr(1 << 30)
+	if _, ok := tagger.Flow(0, unknown, topo.Addr(0), 100); ok {
+		t.Fatal("tagger accepted an unknown source address")
+	}
+	if _, ok := tagger.Flow(0, topo.Addr(0), unknown, 100); ok {
+		t.Fatal("tagger accepted an unknown destination address")
+	}
+	// An agent sampling every packet drops what the tagger rejects.
+	p := NewPartial()
+	a := NewAgent(tagger, p, 1, 1, func() int64 { return 0 })
+	a.Packet(packet.Header{Key: packet.FlowKey{Src: unknown, Dst: topo.Addr(0)}, Size: 100})
 	ds := NewDataset()
-	p := NewPipeline(topo, 1, ds.Add)
-	p.AddFlow(0, packet.Addr(1<<30), topo.Addr(0), 100)
-	p.Close()
+	ds.MergePartial(p)
 	if ds.TotalBytes() != 0 {
 		t.Fatal("record with unknown address not dropped")
 	}
@@ -90,17 +113,12 @@ func TestUnknownAddressDropped(t *testing.T) {
 
 func TestDatasetLocalityShares(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 4, ds.Add)
-
 	// One intra-rack and one inter-DC flow from the same Hadoop host.
 	hadoop := topo.HostsByRole(topology.RoleHadoop)[0]
 	rack := topo.Racks[topo.HostRack(hadoop)]
 	same := rack.Host(1)
 	far := topo.Host(topology.HostID(topo.NumHosts() - 1)) // other site
-	p.AddFlow(0, topo.Addr(hadoop), topo.Addr(same), 300)
-	p.AddFlow(0, topo.Addr(hadoop), far.Addr, 700)
-	p.Close()
+	ds := ingest(topo, flow{0, topo.Addr(hadoop), topo.Addr(same), 300}, flow{0, topo.Addr(hadoop), far.Addr, 700})
 
 	share := ds.LocalityShare(topology.ClusterHadoop)
 	if math.Abs(share[topology.IntraRack]-0.3) > 1e-9 {
@@ -125,15 +143,11 @@ func TestDatasetLocalityShares(t *testing.T) {
 
 func TestDatasetRackMatrix(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 1, ds.Add)
-
 	cl := topo.ClustersOfType(topology.ClusterHadoop)[0]
 	racks := topo.Clusters[cl].Racks
 	src := topo.Racks[racks[0]].Host(0)
 	dst := topo.Racks[racks[1]].Host(0)
-	p.AddFlow(0, topo.Addr(src), topo.Addr(dst), 500)
-	p.Close()
+	ds := ingest(topo, flow{0, topo.Addr(src), topo.Addr(dst), 500})
 
 	m := ds.RackMatrix(topo, cl)
 	if m[0][1] != 500 {
@@ -146,15 +160,11 @@ func TestDatasetRackMatrix(t *testing.T) {
 
 func TestDatasetClusterMatrixAndCrossCounters(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 1, ds.Add)
-
 	dc := topo.Datacenters[0]
 	c0, c1 := dc.Clusters[0], dc.Clusters[1]
 	src := topo.Racks[topo.Clusters[c0].Racks[0]].Host(0)
 	dst := topo.Racks[topo.Clusters[c1].Racks[0]].Host(0)
-	p.AddFlow(0, topo.Addr(src), topo.Addr(dst), 800)
-	p.Close()
+	ds := ingest(topo, flow{0, topo.Addr(src), topo.Addr(dst), 800})
 
 	m := ds.ClusterMatrix([]int{c0, c1})
 	if m[0][1] != 800 {
@@ -173,11 +183,8 @@ func TestDatasetClusterMatrixAndCrossCounters(t *testing.T) {
 
 func TestIntraRackNotCountedAsCross(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 1, ds.Add)
 	rack := topo.Racks[0]
-	p.AddFlow(0, topo.Host(rack.Host(0)).Addr, topo.Host(rack.Host(1)).Addr, 100)
-	p.Close()
+	ds := ingest(topo, flow{0, topo.Host(rack.Host(0)).Addr, topo.Host(rack.Host(1)).Addr, 100})
 	if rc := ds.RackCross(); present(&rc) != 0 {
 		t.Fatal("intra-rack traffic counted as rack-crossing")
 	}
@@ -188,40 +195,17 @@ func TestIntraRackNotCountedAsCross(t *testing.T) {
 
 func TestPerMinuteSeries(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 2, ds.Add)
+	var obs []flow
 	for m := int64(0); m < 5; m++ {
-		p.AddFlow(m, topo.Addr(0), topo.Addr(5), float64(100*(m+1)))
+		obs = append(obs, flow{m, topo.Addr(0), topo.Addr(5), float64(100 * (m + 1))})
 	}
-	p.Close()
+	ds := ingest(topo, obs...)
 	series := ds.PerMinute()
 	if len(series) != 5 {
 		t.Fatalf("minutes %d", len(series))
 	}
 	if series[2] != 300 {
 		t.Fatalf("minute 2 = %v", series[2])
-	}
-}
-
-func TestPipelineConcurrentIngestion(t *testing.T) {
-	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 4, ds.Add)
-	var wg sync.WaitGroup
-	const writers, per = 8, 1000
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				p.AddFlow(0, topo.Addr(0), topo.Addr(9), 1)
-			}
-		}()
-	}
-	wg.Wait()
-	p.Close()
-	if got := ds.TotalBytes(); got != writers*per {
-		t.Fatalf("total %v, want %d", got, writers*per)
 	}
 }
 
@@ -237,17 +221,15 @@ func TestEmptyDatasetQueries(t *testing.T) {
 
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	topo := testTopo(t)
-	ds := NewDataset()
-	p := NewPipeline(topo, 2, ds.Add)
 	// Build a dataset with every aggregate populated.
 	hadoop := topo.HostsByRole(topology.RoleHadoop)[0]
 	rackPeer := topo.Racks[topo.HostRack(hadoop)].Host(1)
 	far := topo.Host(topology.HostID(topo.NumHosts() - 1))
+	var obs []flow
 	for m := int64(0); m < 3; m++ {
-		p.AddFlow(m, topo.Addr(hadoop), topo.Addr(rackPeer), 100)
-		p.AddFlow(m, topo.Addr(hadoop), far.Addr, 900)
+		obs = append(obs, flow{m, topo.Addr(hadoop), topo.Addr(rackPeer), 100}, flow{m, topo.Addr(hadoop), far.Addr, 900})
 	}
-	p.Close()
+	ds := ingest(topo, obs...)
 
 	var buf bytes.Buffer
 	if err := ds.Save(&buf); err != nil {

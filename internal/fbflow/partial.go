@@ -13,13 +13,12 @@ import (
 // single-goroutine (no mutex — each collection task owns one), reusable
 // via Reset, and folded into the shared Dataset with MergePartial.
 //
-// Bit-identity: within a cell, Add folds records in the order
-// Dataset.Add would, so every per-key partial sum is the float64 that
-// Dataset.Add would have built for that cell. MergePartial then adds
-// those sums key by key. No arithmetic ever crosses keys, so only the
-// per-key sequence of additions matters — fixed by merging cells in task
-// order — and the iteration order over keys within one partial is
-// immaterial.
+// Bit-identity: within a cell, Add folds records in arrival order, so
+// every per-key partial sum is the float64 that adding that cell's
+// records one by one would build. MergePartial then adds those sums key
+// by key. No arithmetic ever crosses keys, so only the per-key sequence
+// of additions matters — fixed by merging cells in task order — and the
+// iteration order over keys within one partial is immaterial.
 type Partial struct {
 	totalBytes float64
 
@@ -87,7 +86,8 @@ func packPair(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(u
 // unpackPair inverts packPair.
 func unpackPair(k uint64) (src, dst int) { return int(int32(k >> 32)), int(int32(uint32(k))) }
 
-// Add folds one record, mirroring Dataset.Add without locks.
+// Add folds one record into every aggregate it touches, without locks:
+// a Partial belongs to one goroutine.
 func (p *Partial) Add(r Record) {
 	p.totalBytes += r.Bytes
 	p.locality[r.SrcClusterType][r.Locality] += r.Bytes
@@ -158,12 +158,11 @@ func (p *Partial) CheckIDs(hosts, racks, clusters int) error {
 }
 
 // MergePartial folds a cell's Partial into d: every table entry becomes
-// one add into the matching column or row, through the same add path as
-// Dataset.Add. The caller serializes MergePartial calls in task order,
-// which fixes the per-key addition sequence and so the merged bits.
-// Locality and cluster-type sums of zero are skipped, like keys no
-// record touched. A partial whose keys d already holds merges without
-// allocating.
+// one add into the matching column or row. The caller serializes
+// MergePartial calls in task order, which fixes the per-key addition
+// sequence and so the merged bits. Locality and cluster-type sums of
+// zero are skipped, like keys no record touched. A partial whose keys d
+// already holds merges without allocating.
 func (d *Dataset) MergePartial(p *Partial) {
 	if p == nil {
 		return

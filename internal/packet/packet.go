@@ -146,21 +146,8 @@ func (h *Header) UnmarshalBinary(buf []byte) error {
 
 // Common on-wire sizes (Ethernet framing included) used by the generators.
 const (
-	// MinSize is the minimum Ethernet frame size.
-	MinSize = 64
 	// ACKSize is a bare TCP ACK segment on the wire.
 	ACKSize = 66
 	// MTUSize is a full-MTU TCP segment on the wire (1500B IP + 14B Ethernet).
 	MTUSize = 1514
 )
-
-// ClampSize bounds a generated packet size to the valid on-wire range.
-func ClampSize(s float64) uint32 {
-	if s < MinSize {
-		return MinSize
-	}
-	if s > MTUSize {
-		return MTUSize
-	}
-	return uint32(s)
-}

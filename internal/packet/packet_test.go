@@ -102,20 +102,6 @@ func TestFlowKeyString(t *testing.T) {
 	}
 }
 
-func TestClampSize(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want uint32
-	}{
-		{0, MinSize}, {63, MinSize}, {64, 64}, {200, 200}, {1514, 1514}, {9000, MTUSize},
-	}
-	for _, c := range cases {
-		if got := ClampSize(c.in); got != c.want {
-			t.Errorf("ClampSize(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func BenchmarkMarshal(b *testing.B) {
 	h := Header{Time: 123456789, Key: FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: TCP}, Size: 200}
 	buf := make([]byte, EncodedSize)

@@ -17,19 +17,6 @@ func ExampleSample() {
 	// Output: p50=50.5 p90=90.1
 }
 
-// ExampleCounter_HeavyHitterSet shows the paper's §5.3 heavy-hitter
-// definition: the minimum set of keys covering half the bytes.
-func ExampleCounter_HeavyHitterSet() {
-	c := stats.NewCounter()
-	c.Add("rack-7", 600)
-	c.Add("rack-3", 250)
-	c.Add("rack-9", 150)
-	for _, kv := range c.HeavyHitterSet(0.5) {
-		fmt.Println(kv.Key)
-	}
-	// Output: rack-7
-}
-
 // ExampleTimeSeries bins event volumes per second, the substrate of the
 // Figure 4 locality series.
 func ExampleTimeSeries() {

@@ -107,19 +107,6 @@ func (s *Sample) Quantile(p float64) float64 {
 // Median returns the 0.5 quantile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// CDF returns (values, cumulative fractions) suitable for plotting: values
-// are the sorted observations, fractions are (i+1)/n.
-func (s *Sample) CDF() (values, fractions []float64) {
-	s.sort()
-	values = append([]float64(nil), s.xs...)
-	fractions = make([]float64, len(values))
-	n := float64(len(values))
-	for i := range fractions {
-		fractions[i] = float64(i+1) / n
-	}
-	return values, fractions
-}
-
 // FracBelow returns the fraction of observations strictly less than x.
 func (s *Sample) FracBelow(x float64) float64 {
 	if len(s.xs) == 0 {
@@ -152,15 +139,6 @@ func (c *Counter) Add(key string, v float64) { c.m[key] += v }
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.m) }
 
-// Total returns the sum over all keys.
-func (c *Counter) Total() float64 {
-	t := 0.0
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
 // KV is one key with its accumulated value.
 type KV struct {
 	Key string
@@ -181,22 +159,6 @@ func (c *Counter) Sorted() []KV {
 		return out[i].Key < out[j].Key
 	})
 	return out
-}
-
-// HeavyHitterSet returns the minimum prefix of descending-ordered keys
-// whose values sum to at least frac of the total — the paper's §5.3
-// heavy-hitter definition with frac = 0.5 — along with their values.
-func (c *Counter) HeavyHitterSet(frac float64) []KV {
-	sorted := c.Sorted()
-	target := frac * c.Total()
-	acc := 0.0
-	for i, kv := range sorted {
-		acc += kv.Val
-		if acc >= target {
-			return sorted[:i+1]
-		}
-	}
-	return sorted
 }
 
 // TimeSeries bins (time, value) observations into fixed-width bins,
