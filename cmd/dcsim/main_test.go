@@ -5,33 +5,38 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // runCaptured calls run(args) with stdout and stderr sent to files and
-// returns the exit status and everything written to stdout.
-func runCaptured(t *testing.T, args ...string) (int, string) {
+// returns the exit status and everything written to stdout and stderr.
+func runCaptured(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	dir := t.TempDir()
-	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldOut, oldErr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = stdout, stderr
-	code := run(args)
+	os.Stdout, os.Stderr = outF, errF
+	code = run(args)
 	os.Stdout, os.Stderr = oldOut, oldErr
-	stdout.Close()
-	stderr.Close()
-	out, err := os.ReadFile(stdout.Name())
+	outF.Close()
+	errF.Close()
+	out, err := os.ReadFile(outF.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code, string(out)
+	diag, err := os.ReadFile(errF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out), string(diag)
 }
 
 // TestFlagErrors pins that every bad flag exits 2 with nothing on
@@ -54,20 +59,24 @@ func TestFlagErrors(t *testing.T) {
 		{"agent id outside the fleet", []string{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "2", "-fleet-agent-connect", "unix:/nonexistent"}},
 		{"negative agent id", []string{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "-1", "-fleet-agent-connect", "unix:/nonexistent"}},
 		{"undefined flag", []string{"-no-such-flag"}},
+		{"distributed agent metrics port overflow", []string{"-fleet", "-distributed", "2", "-metrics-addr", "127.0.0.1:65535"}},
 		{"unknown mirror role", []string{"-mirror", "bogus"}},
 		{"no mode", nil},
 	} {
 		mem := filepath.Join(dir, "mem.prof")
-		code, out := runCaptured(t, append([]string{"-memprofile", mem}, c.args...)...)
+		code, out, diag := runCaptured(t, append([]string{"-memprofile", mem}, c.args...)...)
 		if code != 2 || out != "" {
 			t.Errorf("%s: exit %d, stdout %q; want exit 2 and no output", c.name, code, out)
+		}
+		if strings.Contains(diag, "listening") {
+			t.Errorf("%s: an endpoint started before the flags were rejected:\n%s", c.name, diag)
 		}
 		if _, err := os.Stat(mem); err == nil {
 			t.Errorf("%s: the profiler started before the flags were rejected", c.name)
 			os.Remove(mem)
 		}
 	}
-	if code, _ := runCaptured(t, "-h"); code != 0 {
+	if code, _, _ := runCaptured(t, "-h"); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
 	}
 }

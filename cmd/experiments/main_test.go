@@ -51,6 +51,7 @@ func TestFlagErrors(t *testing.T) {
 		{"agent id outside the fleet", []string{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "2", "-fleet-agent-connect", "unix:/nonexistent"}},
 		{"negative agent id", []string{"-fleet-agent", "-fleet-agent-count", "2", "-fleet-agent-id", "-1", "-fleet-agent-connect", "unix:/nonexistent"}},
 		{"undefined flag", []string{"-no-such-flag"}},
+		{"distributed agent metrics port overflow", []string{"-distributed", "2", "-metrics-addr", "127.0.0.1:65535"}},
 	} {
 		mem := filepath.Join(dir, "mem.prof")
 		code, out := runCaptured(t, append([]string{"-memprofile", mem}, c.args...)...)

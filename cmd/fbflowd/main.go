@@ -42,6 +42,7 @@ type options struct {
 	spawnLocal    bool
 	single        bool
 	reconnectWait int
+	agentMetrics  []string // the -spawn agents' metrics endpoints
 }
 
 func register(fs *flag.FlagSet) *options {
@@ -65,7 +66,15 @@ func register(fs *flag.FlagSet) *options {
 
 func run(args []string) int {
 	o := register(flag.NewFlagSet(os.Args[0], flag.ContinueOnError))
-	setup := func() (core.Config, error) { return core.QuickConfig(), nil }
+	setup := func() (core.Config, error) {
+		if o.spawnLocal && !o.single {
+			var err error
+			if o.agentMetrics, err = o.h.AnnounceAgentMetrics(o.h.Agents, o.h.Logger); err != nil {
+				return core.Config{}, err
+			}
+		}
+		return core.QuickConfig(), nil
+	}
 	return o.h.Run(args, setup, func(sys *core.System) int {
 		if !o.single {
 			if code := o.aggregate(sys); code != 0 {
@@ -83,7 +92,7 @@ func run(args []string) int {
 func (o *options) aggregate(sys *core.System) int {
 	h, logger := o.h, o.h.Logger
 	if o.spawnLocal && o.listen == "" {
-		return h.CollectDistributed(sys, h.Agents, logger)
+		return h.CollectDistributed(sys, o.agentMetrics, logger)
 	}
 	var (
 		ds   *fbflow.Dataset
@@ -93,13 +102,7 @@ func (o *options) aggregate(sys *core.System) int {
 	wait := time.Duration(o.reconnectWait) * time.Second
 	network, addr := core.ParseListenSpec(o.listen)
 	if o.spawnLocal {
-		var metrics []string
-		metrics, err = h.AnnounceAgentMetrics(h.Agents, logger)
-		if err != nil {
-			logger.Error("bad -metrics-addr", "err", err)
-			return 2
-		}
-		agentArgs := h.AgentArgs(sys.Cfg, metrics)
+		agentArgs := h.AgentArgs(sys.Cfg, o.agentMetrics)
 		var spawn core.AgentSpawner
 		spawn, err = core.SelfExecSpawner(func(a, inc int) []string { return agentArgs(network+":"+addr, a, inc) })
 		if err != nil {

@@ -186,9 +186,10 @@ func (f *FleetFlags) AgentArgs(cfg core.Config, metrics []string) func(connect s
 // AnnounceAgentMetrics derives and validates every local agent's
 // metrics endpoint up front: a collision with the parent's own endpoint
 // or a port overflow fails the launch here instead of one agent dying
-// later with an opaque bind error. Agents run -quiet, so the resolved
-// table is announced here (a port-0 base makes each agent pick its own
-// free port) and returned for AgentArgs.
+// later with an opaque bind error. Commands call it while checking
+// their flags, so a bad table exits 2 before anything starts. Agents
+// run -quiet, so the resolved table is announced here (a port-0 base
+// makes each agent pick its own free port) and returned for AgentArgs.
 func (f *FleetFlags) AnnounceAgentMetrics(agents int, logger *slog.Logger) ([]string, error) {
 	addrs, err := core.AgentMetricsAddrs(f.MetricsAddr, agents, f.MetricsAddr)
 	if err != nil {
@@ -214,17 +215,13 @@ func WarnGaps(gaps []core.CoverageGap, logger *slog.Logger) {
 	logger.Warn("distributed collection has coverage gaps", "gaps", len(gaps), "cells", cells)
 }
 
-// CollectDistributed collects sys's fleet dataset through agents local
-// re-executions of this command over a private unix socket. It returns
-// the process exit status: 0 on success, 1 when collection fails, and 2
-// when the agents' metrics endpoints cannot be derived.
-func (f *FleetFlags) CollectDistributed(sys *core.System, agents int, logger *slog.Logger) int {
-	metrics, err := f.AnnounceAgentMetrics(agents, logger)
-	if err != nil {
-		logger.Error("bad -metrics-addr", "err", err)
-		return 2
-	}
-	gaps, err := sys.CollectFleetDistributed(agents, f.AgentArgs(sys.Cfg, metrics))
+// CollectDistributed collects sys's fleet dataset through one local
+// re-execution of this command per entry of metrics, the agent metrics
+// table AnnounceAgentMetrics resolved while the flags were checked, over
+// a private unix socket. It returns the process exit status: 0 on
+// success and 1 when collection fails.
+func (f *FleetFlags) CollectDistributed(sys *core.System, metrics []string, logger *slog.Logger) int {
+	gaps, err := sys.CollectFleetDistributed(len(metrics), f.AgentArgs(sys.Cfg, metrics))
 	if err != nil {
 		logger.Error("distributed fleet collection failed", "err", err)
 		return 1

@@ -51,6 +51,9 @@ type Harness struct {
 
 	Logger *slog.Logger
 	cfg    core.Config // the configuration the run was started with
+	// agentMetrics is the -distributed agents' metrics endpoint table,
+	// resolved with the flags.
+	agentMetrics []string
 }
 
 // New registers spec's flags on fs.
@@ -82,7 +85,8 @@ func New(fs *flag.FlagSet, spec Spec) *Harness {
 
 // Run parses args and runs the command: it checks every flag (setup
 // checks the command's own and returns its base configuration, then
-// Apply and the simulation flags), starts the profiler and the black
+// Apply, the simulation flags and the -distributed agents' metrics
+// endpoints), starts the profiler and the black
 // box, builds the System, and either runs the agent or serves
 // -metrics-addr, calls body and writes the manifest and timeline. It
 // returns the exit status: 0 for -h and success, 2 for bad flags, 1 for
@@ -112,6 +116,9 @@ func (h *Harness) Run(args []string, setup func() (core.Config, error), body fun
 	}
 	if err == nil && h.PathsOut != "" && h.TraceSample <= 0 {
 		err = errors.New("-paths-out needs a positive -trace-sample")
+	}
+	if err == nil && h.Distributed > 0 {
+		h.agentMetrics, err = h.AnnounceAgentMetrics(h.Distributed, logger)
 	}
 	if err != nil {
 		logger.Error("bad flags", "err", err)
@@ -172,7 +179,7 @@ func (h *Harness) Collect(sys *core.System) int {
 	if h.Distributed <= 0 {
 		return 0
 	}
-	return h.CollectDistributed(sys, h.Distributed, h.Logger)
+	return h.CollectDistributed(sys, h.agentMetrics, h.Logger)
 }
 
 // WritePaths writes the telemetry experiment's retained path records to

@@ -200,7 +200,7 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		fcfg.RSWUpBps = int64(float64(fcfg.RSWUpBps) / f)
 		fabric := netsim.NewFabric(eng, s.Topo, fcfg)
 		rsw := fabric.RSW(rack)
-		injectAll(eng, fabric, hdrs, 0)
+		fabric.InjectSorted(hdrs, 0)
 		dur := netsim.Time(seconds) * netsim.Second
 		eng.Run(dur + netsim.Second)
 

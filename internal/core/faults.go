@@ -126,7 +126,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	for id := 0; id < s.Topo.NumHosts(); id++ {
 		fab.Sink(topology.HostID(id)).OnBatch = keep
 	}
-	injectAll(eng, fab, hdrs, 0)
+	fab.InjectSorted(hdrs, 0)
 	runSpan := s.Cfg.Obs.StartSpan("netsim-run")
 	eng.Run(horizon + faultDrainGrace)
 	runSpan.End()

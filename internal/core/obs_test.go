@@ -36,19 +36,38 @@ func TestObsNoPerturbation(t *testing.T) {
 			cfg.Taggers = workers
 			cfg.FaultScenario = netsim.ScenarioCSWDown
 			cfg.Obs = reg
-			sys := MustNewSystem(cfg)
-			var buf bytes.Buffer
-			for _, sec := range SuiteSections(sys) {
-				if skip[sec.Name] {
-					continue
+			suite := func() (*System, string) {
+				sys := MustNewSystem(cfg)
+				var buf bytes.Buffer
+				for _, sec := range SuiteSections(sys) {
+					if skip[sec.Name] {
+						continue
+					}
+					fmt.Fprintf(&buf, "=== %s ===\n%s\n", sec.Name, sec.Run(sys))
 				}
-				fmt.Fprintf(&buf, "=== %s ===\n%s\n", sec.Name, sec.Run(sys))
+				return sys, buf.String()
 			}
+			if reg == nil && workers == 1 {
+				// TestParallelDeterminism's 1-worker csw-down reference is
+				// this very summary: whichever test gets there first
+				// computes it. The suite transcript is this test's alone.
+				var out string
+				_, sum := sharedSummary(t, cfg, func() *Summary {
+					sys, o := suite()
+					out = o
+					return sys.Summarize()
+				})
+				if out == "" {
+					_, out = suite()
+				}
+				return out, sum
+			}
+			sys, out := suite()
 			sum, err := sys.Summarize().JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return buf.String(), sum
+			return out, sum
 		}
 
 		offSuite, offSum := run(nil)

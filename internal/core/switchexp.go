@@ -87,7 +87,7 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 		// Synthesize each rack host's mirror stream for this window and
 		// inject it in time order, shifted to the window's start.
 		hdrs := s.rackMirror([]int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w))
-		injectAll(eng, fabric, hdrs, start)
+		fabric.InjectSorted(hdrs, start)
 
 		// Reset edge counters so per-window utilization is clean.
 		for _, l := range fabric.LinksByTier(netsim.TierHostRSW) {
@@ -127,15 +127,6 @@ func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params
 	}
 	packet.SortByTime(hdrs)
 	return hdrs
-}
-
-// injectAll schedules each header's injection into fab at its timestamp
-// plus offset.
-func injectAll(eng *netsim.Engine, fab *netsim.Fabric, hdrs []packet.Header, offset netsim.Time) {
-	for _, h := range hdrs {
-		h.Time += offset
-		eng.At(h.Time, func() { fab.Inject(h) })
-	}
 }
 
 // rackEdgeUtil returns the mean utilization of a rack's host uplinks over

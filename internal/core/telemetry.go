@@ -204,7 +204,7 @@ func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w 
 	load := DiurnalFactor(float64(w) / float64(tcfg.Windows))
 	params := s.Cfg.Params.Scaled(load * tcfg.LoadBoost)
 	hdrs := s.rackMirror([]int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w))
-	injectAll(eng, fab, hdrs, 0)
+	fab.InjectSorted(hdrs, 0)
 	fab.StartQueueSampling(tcfg.Interval, winDur)
 	eng.Run(winDur + faultDrainGrace)
 	s.foldFabricStats(fab)

@@ -372,6 +372,17 @@ func (f *Fabric) Stats() FabricStats {
 // retransmitted on the fault layer's RTO schedule.
 func (f *Fabric) Inject(hdr packet.Header) { f.inject(hdr, 0) }
 
+// InjectSorted schedules the injection of every header of hdrs at its
+// timestamp plus offset, with offset added to the injected header's
+// Time: the same events, in the same order and with the same sequence
+// numbers, as calling Eng.At(h.Time, func() { f.Inject(h) }) for each
+// shifted header in turn, but without a closure per header. hdrs must
+// be sorted by Time. It is read, never written, while the engine runs,
+// so the caller may reuse it for another fabric.
+func (f *Fabric) InjectSorted(hdrs []packet.Header, offset Time) {
+	f.Eng.atSorted(hdrs, offset, f.Inject)
+}
+
 // inject is Inject plus the delivery-attempt count used by the
 // retransmission budget.
 func (f *Fabric) inject(hdr packet.Header, tries uint8) {
@@ -432,46 +443,41 @@ func (f *Fabric) inject(hdr packet.Header, tries uint8) {
 	}
 
 	f.hostUp[src.ID].bytesTx += int64(hdr.Size)
-	p := &Packet{Hdr: hdr, Tries: tries}
+	p := f.Eng.newPacket()
+	p.Hdr, p.Tries = hdr, tries
 	if f.telem != nil && f.telem.Sampled(hdr.Key) {
 		p.Rec = f.telem.Start(hdr.Key, hdr.Size, tries, uint8(post), rerouted, int64(f.Eng.Now()))
 	}
 
-	var hops []hop
-	push := func(n Node, port int) { hops = append(hops, hop{n, port}) }
-
 	switch {
 	case rs == rd:
-		push(f.rsws[rs], f.hostPort[dst.ID])
+		p.addHop(f.rsws[rs], f.hostPort[dst.ID])
 	case cs == cd:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswDownPort[cs][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
+		p.addHop(f.rsws[rs], f.rswUpPort[rs][post])
+		p.addHop(f.csws[cs][post], f.cswDownPort[cs][post][f.rackPosInCl[rd]])
+		p.addHop(f.rsws[rd], f.hostPort[dst.ID])
 	case ds == dd:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswUpPort[cs][post])
-		push(f.fcs[ds][post], f.fcDownPort[ds][post][f.clPosInDC[cd]])
-		push(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
+		p.addHop(f.rsws[rs], f.rswUpPort[rs][post])
+		p.addHop(f.csws[cs][post], f.cswUpPort[cs][post])
+		p.addHop(f.fcs[ds][post], f.fcDownPort[ds][post][f.clPosInDC[cd]])
+		p.addHop(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
+		p.addHop(f.rsws[rd], f.hostPort[dst.ID])
 	default:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswUpPort[cs][post])
-		push(f.fcs[ds][post], f.fcUpPort[ds][post])
-		push(f.dcrs[ds], f.dcrUpPort[ds])
+		p.addHop(f.rsws[rs], f.rswUpPort[rs][post])
+		p.addHop(f.csws[cs][post], f.cswUpPort[cs][post])
+		p.addHop(f.fcs[ds][post], f.fcUpPort[ds][post])
+		p.addHop(f.dcrs[ds], f.dcrUpPort[ds])
 		if ss != sd {
-			push(f.aggs[ss], f.aggUpPort[ss])
-			push(f.bb, f.bbDownPort[sd])
+			p.addHop(f.aggs[ss], f.aggUpPort[ss])
+			p.addHop(f.bb, f.bbDownPort[sd])
 		}
-		push(f.aggs[sd], f.aggDownPort[sd][f.dcPosInSite[dd]])
-		push(f.dcrs[dd], f.dcrDownPort[dd][post])
-		push(f.fcs[dd][post], f.fcDownPort[dd][post][f.clPosInDC[cd]])
-		push(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
+		p.addHop(f.aggs[sd], f.aggDownPort[sd][f.dcPosInSite[dd]])
+		p.addHop(f.dcrs[dd], f.dcrDownPort[dd][post])
+		p.addHop(f.fcs[dd][post], f.fcDownPort[dd][post][f.clPosInDC[cd]])
+		p.addHop(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
+		p.addHop(f.rsws[rd], f.hostPort[dst.ID])
 	}
-
-	first := hops[0]
-	p.hops = hops[1:]
-	first.node.Receive(p, first.port)
+	deliver(nil, p, 0) // to the first hop, the source RSW
 }
 
 // telemDeadEnd records a sampled packet lost to a fault dead end at

@@ -8,6 +8,12 @@ import (
 )
 
 // Packet is a unit of traffic moving through the simulated network.
+//
+// Lifetime: the fabric takes packets from its engine's free list and
+// returns them there where they are disposed of (sink delivery, buffer
+// drop, fault drop), after the hooks have returned. A Node or hook must
+// not keep a *Packet after the Receive, OnPacket, OnDrop or OnFaultDrop
+// call that was handed it returns; copy Hdr instead.
 type Packet struct {
 	Hdr packet.Header
 	// Tries counts delivery attempts: 0 for the first transmission,
@@ -19,19 +25,33 @@ type Packet struct {
 	// finalizes it with the terminal reason code. Nil for unsampled
 	// packets — every telemetry touch is a nil check on this field.
 	Rec *telemetry.PathRecord
-	// hops is the remaining sequence of (node, egress port) steps.
-	hops []hop
+	// hops[next:nhops] is the remaining sequence of (switch, egress
+	// port) steps of a fabric-routed packet.
+	hops        [maxHops]hop
+	next, nhops uint8
 }
 
+// maxHops is the longest fabric path: RSW, CSW, FC, DCR, site agg,
+// backbone, site agg, DCR, FC, CSW, RSW.
+const maxHops = 11
+
 type hop struct {
-	node Node
-	port int
+	sw   *Switch
+	port int32
+}
+
+// addHop appends a step to p's path.
+func (p *Packet) addHop(sw *Switch, port int) {
+	p.hops[p.nhops] = hop{sw: sw, port: int32(port)}
+	p.nhops++
 }
 
 // Node receives packets. Implementations: Switch, Sink.
 type Node interface {
 	// Receive delivers p to the node; port is the node-local egress port
-	// the packet should leave through next (ignored by sinks).
+	// the packet should leave through next (ignored by sinks). The node
+	// must not keep p after Receive returns unless it forwards it (see
+	// Packet).
 	Receive(p *Packet, port int)
 	// Name identifies the node in counters and errors.
 	Name() string
@@ -76,6 +96,32 @@ type Port struct {
 	drops     int64
 	forwarded int64
 	down      bool // link fault: packets entering or departing are lost
+
+	sw      *Switch
+	departs portRun // packets leaving this egress, in departure order
+	arrives portRun // departed packets reaching Peer, in arrival order
+}
+
+// portRun is one port's typed event run: its departures, or its
+// arrivals at the peer. Both are monotone in time: a departure is
+// max(now, busyUntil) + tx, and an arrival is a departure plus the
+// link's fixed delay.
+type portRun struct {
+	pktRun
+	pt     *Port
+	arrive bool
+}
+
+// schedule queues p's event on the run at time at.
+func (r *portRun) schedule(at Time, p *Packet) { r.push(r.pt.sw.eng, r, at, p) }
+
+func (r *portRun) fire(e *Engine) {
+	p := r.take(e)
+	if r.arrive {
+		deliver(r.pt.Peer, p, r.pt.PeerPort)
+		return
+	}
+	r.pt.sw.depart(r.pt, p)
 }
 
 // SetDown marks the port's link as failed (true) or recovered (false).
@@ -104,11 +150,12 @@ type Switch struct {
 	down       bool  // switch fault: every received or queued packet is lost
 	faultDrops int64 // packets lost to a down switch or port
 
-	// OnDrop, if set, is invoked for each dropped packet.
+	// OnDrop, if set, is invoked for each dropped packet. It must not
+	// keep p after it returns (see Packet).
 	OnDrop func(p *Packet)
 	// OnFaultDrop, if set, is invoked for each packet lost to a fault
 	// (down switch or down link) — the hook the fabric's retransmission
-	// accounting attaches to.
+	// accounting attaches to. It must not keep p after it returns.
 	OnFaultDrop func(p *Packet)
 
 	// In-band telemetry registration (Fabric.AttachTelemetry). telem is
@@ -145,7 +192,10 @@ func (s *Switch) Name() string { return s.name }
 
 // AddPort attaches an egress port and returns its index.
 func (s *Switch) AddPort(link *Link, peer Node) int {
-	s.ports = append(s.ports, &Port{Link: link, Peer: peer})
+	pt := &Port{Link: link, Peer: peer, sw: s}
+	pt.departs = portRun{pt: pt}
+	pt.arrives = portRun{pt: pt, arrive: true}
+	s.ports = append(s.ports, pt)
 	return len(s.ports) - 1
 }
 
@@ -182,12 +232,14 @@ func (s *Switch) FaultDrops() int64 { return s.faultDrops }
 // fires, at its departure instant — is lost through the fault-drop path.
 func (s *Switch) SetDown(down bool) { s.down = down }
 
-// faultDrop loses p to a fault and notifies the fault hook.
+// faultDrop loses p to a fault, notifies the fault hook and disposes of
+// the packet.
 func (s *Switch) faultDrop(p *Packet) {
 	s.faultDrops++
 	if s.OnFaultDrop != nil {
 		s.OnFaultDrop(p)
 	}
+	s.eng.freePacket(p)
 }
 
 // Receive implements Node: queue the packet on egress port, or drop it if
@@ -221,6 +273,7 @@ func (s *Switch) Receive(p *Packet, port int) {
 		if s.OnDrop != nil {
 			s.OnDrop(p)
 		}
+		s.eng.freePacket(p)
 		return
 	}
 	start := s.eng.Now()
@@ -238,37 +291,41 @@ func (s *Switch) Receive(p *Packet, port int) {
 	s.enqueues++
 	depart := start + pt.Link.TxTime(p.Hdr.Size)
 	pt.busyUntil = depart
-	s.eng.At(depart, func() {
-		s.used -= size
-		pt.queued -= size
-		// A fault that fired while the packet sat in the queue loses it
-		// at its departure instant: the buffer is released but nothing
-		// goes on the wire.
-		if s.down || pt.down {
-			if p.Rec != nil {
-				reason := s.faultReason()
-				p.Rec.FailLastHop(reason)
-				s.telem.Finish(p.Rec, reason, int64(s.eng.Now()))
-				p.Rec = nil
-			}
-			s.faultDrop(p)
-			return
+	pt.departs.schedule(depart, p)
+}
+
+// depart is p's departure event from egress pt: the packet leaves the
+// shared buffer and goes on the wire, arriving at the peer one link
+// delay later.
+func (s *Switch) depart(pt *Port, p *Packet) {
+	size := int64(p.Hdr.Size)
+	s.used -= size
+	pt.queued -= size
+	// A fault that fired while the packet sat in the queue loses it at
+	// its departure instant: the buffer is released but nothing goes on
+	// the wire.
+	if s.down || pt.down {
+		if p.Rec != nil {
+			reason := s.faultReason()
+			p.Rec.FailLastHop(reason)
+			s.telem.Finish(p.Rec, reason, int64(s.eng.Now()))
+			p.Rec = nil
 		}
-		pt.forwarded++
-		pt.Link.bytesTx += size
-		peer, nextPort := pt.Peer, pt.PeerPort
-		arrive := depart + pt.Link.Delay
-		s.eng.At(arrive, func() { deliver(peer, p, nextPort) })
-	})
+		s.faultDrop(p)
+		return
+	}
+	pt.forwarded++
+	pt.Link.bytesTx += size
+	pt.arrives.schedule(s.eng.Now()+pt.Link.Delay, p)
 }
 
 // deliver advances a packet along its precomputed hop list if it has one,
 // otherwise uses the port argument.
 func deliver(n Node, p *Packet, port int) {
-	if len(p.hops) > 0 {
-		next := p.hops[0]
-		p.hops = p.hops[1:]
-		next.node.Receive(p, next.port)
+	if p.next < p.nhops {
+		h := p.hops[p.next]
+		p.next++
+		h.sw.Receive(p, int(h.port))
 		return
 	}
 	n.Receive(p, port)
@@ -284,7 +341,8 @@ type Sink struct {
 	// Delay accumulates per-packet network delay (delivery time minus
 	// the header's injection timestamp) when an engine is attached.
 	Delay Moments
-	// OnPacket, if set, is invoked for each delivered packet.
+	// OnPacket, if set, is invoked for each delivered packet. It must not
+	// keep p after it returns (see Packet).
 	OnPacket func(p *Packet)
 	// Telem, if set, finalizes the path records of sampled packets at
 	// delivery (set by Fabric.AttachTelemetry).
@@ -310,7 +368,8 @@ func (s *Sink) AttachEngine(e *Engine) { s.eng = e }
 // Name implements Node.
 func (s *Sink) Name() string { return s.name }
 
-// Receive implements Node.
+// Receive implements Node. With an engine attached, the delivered
+// packet is disposed of into its free list once the hooks return.
 func (s *Sink) Receive(p *Packet, _ int) {
 	s.Packets++
 	s.Bytes += int64(p.Hdr.Size)
@@ -339,6 +398,9 @@ func (s *Sink) Receive(p *Packet, _ int) {
 		}
 		s.batchAt = now
 		s.batch = append(s.batch, p.Hdr)
+	}
+	if s.eng != nil {
+		s.eng.freePacket(p)
 	}
 }
 
