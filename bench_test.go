@@ -323,6 +323,7 @@ func BenchmarkBaseline_Literature(b *testing.B) {
 func BenchmarkTraceGeneration(b *testing.B) {
 	s := benchSystem()
 	n := int64(0)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bundle := s.Trace(topology.RoleWeb, s.Cfg.ShortTraceSec)
 		n = bundle.Packets

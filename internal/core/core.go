@@ -206,7 +206,7 @@ type System struct {
 	// their offered totals, the healthy baseline arm, and the configured
 	// scenario's result.
 	degradedOnce     sync.Once
-	degradedHdrs     []packet.Header
+	degradedWork     [][]packet.Header
 	degradedOffPkts  int64
 	degradedOffBytes int64
 	baselineOnce     sync.Once

@@ -164,8 +164,8 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 
 	// One shared synthesized window of the rack's traffic, at elevated
 	// load so the sweep reaches drop onset within laptop-scale rates.
-	hdrs := s.rackMirror([]int{rack}, netsim.Time(seconds)*netsim.Second, s.Cfg.Params.Scaled(6), 0xc0de)
-	return s.oversubSweep(role, rack, hdrs, factors, seconds)
+	streams := s.rackMirror([]int{rack}, netsim.Time(seconds)*netsim.Second, s.Cfg.Params.Scaled(6), 0xc0de)
+	return s.oversubSweep(role, rack, streams, factors, seconds)
 }
 
 // ExtensionOversubAllToAll runs the same uplink sweep with the
@@ -176,22 +176,23 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 func (s *System) ExtensionOversubAllToAll(factors []float64, seconds int) *OversubResult {
 	host := s.Monitored(topology.RoleHadoop)
 	rack := s.Topo.HostRack(host)
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(p packet.Header) { hdrs = append(hdrs, p) })
-	for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
+	// GenerateAllToAll emits through a workload.Gen, so each host's
+	// stream is in time order.
+	streams := make([][]packet.Header, s.Topo.Racks[rack].NumHosts)
+	for i := range streams {
 		h := s.Topo.Racks[rack].Host(i)
+		collect := workload.CollectorFunc(func(p packet.Header) { streams[i] = append(streams[i], p) })
 		baseline.GenerateAllToAll(s.Topo, h, s.Cfg.Seed^0xa2a^uint64(h),
 			baseline.DefaultAllToAllParams(), netsim.Time(seconds)*netsim.Second, collect)
 	}
-	packet.SortByTime(hdrs)
-	res := s.oversubSweep(topology.RoleHadoop, rack, hdrs, factors, seconds)
+	res := s.oversubSweep(topology.RoleHadoop, rack, streams, factors, seconds)
 	res.Workload = "all-to-all baseline"
 	return res
 }
 
-// oversubSweep replays one traffic window through fabrics with weakening
-// rack uplinks.
-func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header, factors []float64, seconds int) *OversubResult {
+// oversubSweep replays one traffic window, given as per-host streams,
+// through fabrics with weakening rack uplinks.
+func (s *System) oversubSweep(role topology.Role, rack int, streams [][]packet.Header, factors []float64, seconds int) *OversubResult {
 	res := &OversubResult{Role: role}
 
 	for _, f := range factors {
@@ -200,7 +201,7 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		fcfg.RSWUpBps = int64(float64(fcfg.RSWUpBps) / f)
 		fabric := netsim.NewFabric(eng, s.Topo, fcfg)
 		rsw := fabric.RSW(rack)
-		fabric.InjectSorted(hdrs, 0)
+		fabric.InjectStreams(streams, 0)
 		dur := netsim.Time(seconds) * netsim.Second
 		eng.Run(dur + netsim.Second)
 

@@ -69,26 +69,27 @@ func (s *System) degradedSeconds() int {
 	return sec
 }
 
-// degradedHeaders synthesizes (once per System) the shared workload of
+// degradedStreams synthesizes (once per System) the shared workload of
 // every fault arm: the mirror streams of all hosts in the monitored Web
-// and cache racks, merged in time order. Offered totals exclude loopback
-// headers, which the fabric ignores.
-func (s *System) degradedHeaders() []packet.Header {
+// and cache racks, one per host (see rackMirror). Offered totals exclude
+// loopback headers, which the fabric ignores.
+func (s *System) degradedStreams() [][]packet.Header {
 	s.degradedOnce.Do(func() {
 		horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
 		webRack := s.Topo.HostRack(s.Monitored(topology.RoleWeb))
 		cacheRack := s.Topo.HostRack(s.Monitored(topology.RoleCacheFollower))
-		hdrs := s.rackMirror([]int{webRack, cacheRack}, horizon, s.Cfg.Params, 0xfa17<<24)
-		s.degradedHdrs = hdrs
-		for _, h := range hdrs {
-			if h.Key.Src == h.Key.Dst {
-				continue
+		s.degradedWork = s.rackMirror([]int{webRack, cacheRack}, horizon, s.Cfg.Params, 0xfa17<<24)
+		for _, hdrs := range s.degradedWork {
+			for _, h := range hdrs {
+				if h.Key.Src == h.Key.Dst {
+					continue
+				}
+				s.degradedOffPkts++
+				s.degradedOffBytes += int64(h.Size)
 			}
-			s.degradedOffPkts++
-			s.degradedOffBytes += int64(h.Size)
 		}
 	})
-	return s.degradedHdrs
+	return s.degradedWork
 }
 
 // runDegradedArm injects the shared workload into a fresh fabric under
@@ -106,7 +107,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	sp := s.Cfg.Obs.StartSpan("degraded:" + armName)
 	defer sp.End()
 
-	hdrs := s.degradedHeaders()
+	streams := s.degradedStreams()
 	horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
 	focus := s.Monitored(topology.RoleWeb)
 
@@ -126,7 +127,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	for id := 0; id < s.Topo.NumHosts(); id++ {
 		fab.Sink(topology.HostID(id)).OnBatch = keep
 	}
-	fab.InjectSorted(hdrs, 0)
+	fab.InjectStreams(streams, 0)
 	runSpan := s.Cfg.Obs.StartSpan("netsim-run")
 	eng.Run(horizon + faultDrainGrace)
 	runSpan.End()
@@ -182,7 +183,7 @@ func (s *System) degradedBaseline() DegradedMetrics {
 func (s *System) DegradedFor(scenario string) *DegradedResult {
 	base := s.degradedBaseline()
 	deg, faults := s.runDegradedArm(scenario, false)
-	s.degradedHeaders() // ensure offered totals are populated
+	s.degradedStreams() // ensure offered totals are populated
 	return &DegradedResult{
 		Scenario:     scenario,
 		Seconds:      s.degradedSeconds(),

@@ -85,9 +85,8 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 		start := netsim.Time(w) * winDur
 
 		// Synthesize each rack host's mirror stream for this window and
-		// inject it in time order, shifted to the window's start.
-		hdrs := s.rackMirror([]int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w))
-		fabric.InjectSorted(hdrs, start)
+		// inject the streams, shifted to the window's start.
+		fabric.InjectStreams(s.rackMirror([]int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w)), start)
 
 		// Reset edge counters so per-window utilization is clean.
 		for _, l := range fabric.LinksByTier(netsim.TierHostRSW) {
@@ -113,20 +112,23 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 }
 
 // rackMirror synthesizes the mirror stream of every host in racks over
-// dur and merges the streams in time order. Host h's trace is seeded
-// Seed ^ salt ^ h<<8; each experiment passes its own salt.
-func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params, salt uint64) []packet.Header {
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
+// dur: one stream per host, in rack then host order, each in time order
+// as its Gen emits it. Fabric.InjectStreams injects them in the order a
+// stable time sort of their concatenation would give. Host h's trace is
+// seeded Seed ^ salt ^ h<<8; each experiment passes its own salt.
+func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params, salt uint64) [][]packet.Header {
+	var streams [][]packet.Header
 	for _, rack := range racks {
 		rk := &s.Topo.Racks[rack]
 		for i := 0; i < int(rk.NumHosts); i++ {
 			h := rk.Host(i)
+			var hdrs []packet.Header
+			collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
 			services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect).Run(dur)
+			streams = append(streams, hdrs)
 		}
 	}
-	packet.SortByTime(hdrs)
-	return hdrs
+	return streams
 }
 
 // rackEdgeUtil returns the mean utilization of a rack's host uplinks over

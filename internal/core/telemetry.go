@@ -203,8 +203,7 @@ func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w 
 
 	load := DiurnalFactor(float64(w) / float64(tcfg.Windows))
 	params := s.Cfg.Params.Scaled(load * tcfg.LoadBoost)
-	hdrs := s.rackMirror([]int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w))
-	fab.InjectSorted(hdrs, 0)
+	fab.InjectStreams(s.rackMirror([]int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w)), 0)
 	fab.StartQueueSampling(tcfg.Interval, winDur)
 	eng.Run(winDur + faultDrainGrace)
 	s.foldFabricStats(fab)

@@ -45,13 +45,18 @@ func keyBefore(at Time, seq uint64, oat Time, oseq uint64) bool {
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use.
 //
-// Events live in three kinds of queue, and every event takes its global
+// Events live in four kinds of queue, and every event takes its global
 // sequence number when it is scheduled, whatever queue holds it:
 //
 //   - Closure events (At, After) scheduled no earlier than the newest
 //     event of the closure FIFO run go to the back of that run; any
 //     other goes into a typed binary min-heap with inlined sift-up and
 //     sift-down.
+//   - Header events (AfterHeader) go into a pointer-free min-heap of
+//     {seq, packet.Header} entries, the header's Time holding the event
+//     time. All of them run the engine's one header handler
+//     (SetHeaderHandler), so a trace generator schedules a packet
+//     without a closure.
 //   - Packet events go to typed runs: each switch port owns a run of its
 //     departures and a run of its arrivals at the peer, and each
 //     Fabric.InjectSorted call is one run of header injections. A run's
@@ -59,25 +64,27 @@ func keyBefore(at Time, seq uint64, oat Time, oseq uint64) bool {
 //     over the runs' head events (one entry per non-empty run) finds the
 //     earliest.
 //
-// Dispatch takes the earliest of the three heads by (time, seq). Each
+// Dispatch takes the earliest of the four heads by (time, seq). Each
 // queue is sorted by that key, so the merge is exactly the order one
 // heap over every event would give. The closure heap holds only closures
 // scheduled out of order, the run heap one entry per non-empty run (a
-// port's whole backlog is one entry), and a packet hop costs no closure
-// or allocation. Scheduling and dispatch are the simulator's hottest
-// path, and the container/heap API would box every event through
-// interface{} (two heap allocations per event, one on Push and one on
-// Pop).
+// port's whole backlog is one entry), and neither a generated header nor
+// a packet hop costs a closure or an allocation. Scheduling and dispatch
+// are the simulator's hottest path, and the container/heap API would box
+// every event through interface{} (two heap allocations per event, one
+// on Push and one on Pop).
 type Engine struct {
 	now      Time
 	seq      uint64
 	heap     []event
 	fifo     []event
-	fifoHead int       // fifo[:fifoHead] is dispatched
-	heads    []runHead // min-heap of the non-empty typed runs by head key
-	vacant   bool      // heads[0] is a run emptied by the event in dispatch
-	typed    int       // queued typed events across all runs
-	free     []*Packet // disposed packets, reused by newPacket
+	fifoHead int                 // fifo[:fifoHead] is dispatched
+	hdrs     []hdrEvent          // min-heap of header events
+	onHeader func(packet.Header) // runs every header event
+	heads    []runHead           // min-heap of the non-empty typed runs by head key
+	vacant   bool                // heads[0] is a run emptied by the event in dispatch
+	typed    int                 // queued typed events across all runs
+	free     []*Packet           // disposed packets, reused by newPacket
 }
 
 // Now returns the current simulation time.
@@ -117,32 +124,8 @@ func (e *Engine) siftUp(i int) {
 	h[i] = ev
 }
 
-// next removes and returns the earliest closure event; ok is false when
-// both closure queues are empty or that event is later than until.
-func (e *Engine) next(until Time) (ev event, ok bool) {
-	if e.fifoHead < len(e.fifo) {
-		r := &e.fifo[e.fifoHead]
-		if len(e.heap) == 0 || r.before(e.heap[0]) {
-			if r.at > until {
-				return event{}, false
-			}
-			ev = *r
-			*r = event{} // drop the fn reference so the closure can be collected
-			e.fifoHead++
-			if e.fifoHead == len(e.fifo) {
-				e.fifo, e.fifoHead = e.fifo[:0], 0
-			}
-			return ev, true
-		}
-	}
-	if len(e.heap) == 0 || e.heap[0].at > until {
-		return event{}, false
-	}
-	return e.pop(), true
-}
-
-// pop removes and returns the earliest heap event. The heap must be
-// non-empty.
+// pop removes and returns the earliest closure heap event. The heap
+// must be non-empty.
 func (e *Engine) pop() event {
 	h := e.heap
 	root := h[0]
@@ -171,49 +154,149 @@ func (e *Engine) pop() event {
 	return root
 }
 
-// typedFirst reports whether the earliest typed run's head precedes both
-// closure queues' heads. heads must be non-empty. Keys are unique, so
-// "not before" means "after".
-func (e *Engine) typedFirst() bool {
-	h := &e.heads[0]
-	if e.fifoHead < len(e.fifo) {
-		if c := &e.fifo[e.fifoHead]; !keyBefore(h.at, h.seq, c.at, c.seq) {
-			return false
+// hdrEvent is one header event. h.Time is its event time.
+type hdrEvent struct {
+	seq uint64
+	h   packet.Header
+}
+
+// SetHeaderHandler installs fn as the engine's header handler: every
+// header event scheduled by AfterHeader runs fn with its header. An
+// engine has one handler, set once before the first AfterHeader.
+func (e *Engine) SetHeaderHandler(fn func(packet.Header)) {
+	if e.onHeader != nil {
+		panic("netsim: header handler already set")
+	}
+	e.onHeader = fn
+}
+
+// AfterHeader schedules the header handler to run with h, its Time set
+// to the event time, d after the current time. It takes a sequence
+// number and clamps a past time to now exactly as At does, so it
+// dispatches where After(d, func() { handler(h) }) would, without the
+// closure.
+func (e *Engine) AfterHeader(d Time, h packet.Header) {
+	if e.onHeader == nil {
+		panic("netsim: AfterHeader without a header handler")
+	}
+	t := e.now + d
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	h.Time = t
+	e.hdrs = append(e.hdrs, hdrEvent{seq: e.seq, h: h})
+	hs := e.hdrs
+	i := len(hs) - 1
+	x := hs[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !keyBefore(x.h.Time, x.seq, hs[p].h.Time, hs[p].seq) {
+			break
 		}
+		hs[i] = hs[p]
+		i = p
+	}
+	hs[i] = x
+}
+
+// popHeader removes and returns the earliest header event's header. The
+// header heap must be non-empty.
+func (e *Engine) popHeader() packet.Header {
+	hs := e.hdrs
+	root := hs[0].h
+	n := len(hs) - 1
+	last := hs[n]
+	e.hdrs = hs[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && keyBefore(hs[r].h.Time, hs[r].seq, hs[c].h.Time, hs[c].seq) {
+				c = r
+			}
+			if !keyBefore(hs[c].h.Time, hs[c].seq, last.h.Time, last.seq) {
+				break
+			}
+			hs[i] = hs[c]
+			i = c
+		}
+		hs[i] = last
+	}
+	return root
+}
+
+// Event sources, as earliest reports them.
+const (
+	srcNone = iota
+	srcFIFO
+	srcHeap
+	srcHeader
+	srcRun
+)
+
+// earliest returns the queue whose head event runs next and that
+// event's time; src is srcNone when every queue is empty. Keys are
+// unique, so the minimum is too.
+func (e *Engine) earliest() (src int, at Time) {
+	var seq uint64
+	if e.fifoHead < len(e.fifo) {
+		c := &e.fifo[e.fifoHead]
+		src, at, seq = srcFIFO, c.at, c.seq
 	}
 	if len(e.heap) > 0 {
-		if c := &e.heap[0]; !keyBefore(h.at, h.seq, c.at, c.seq) {
-			return false
+		if c := &e.heap[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
+			src, at, seq = srcHeap, c.at, c.seq
 		}
 	}
-	return true
+	if len(e.hdrs) > 0 {
+		if c := &e.hdrs[0]; src == srcNone || keyBefore(c.h.Time, c.seq, at, seq) {
+			src, at, seq = srcHeader, c.h.Time, c.seq
+		}
+	}
+	if len(e.heads) > 0 {
+		if c := &e.heads[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
+			src, at = srcRun, c.at
+		}
+	}
+	return src, at
 }
 
 // Run executes events in time order until the queue is empty or the next
 // event is later than until. It returns the number of events executed,
-// closure and typed alike.
+// closure, header and typed alike.
 func (e *Engine) Run(until Time) int {
 	n := 0
 	for {
-		if len(e.heads) > 0 && e.typedFirst() {
-			h := &e.heads[0]
-			if h.at > until {
-				break
-			}
-			e.now = h.at
+		src, at := e.earliest()
+		if src == srcNone || at > until {
+			break
+		}
+		e.now = at
+		switch src {
+		case srcRun:
 			e.typed--
-			h.r.fire(e)
+			e.heads[0].r.fire(e)
 			if e.vacant {
 				e.vacant = false
 				e.removeTop()
 			}
-		} else {
-			ev, ok := e.next(until)
-			if !ok {
-				break
+		case srcHeader:
+			e.onHeader(e.popHeader())
+		case srcFIFO:
+			r := &e.fifo[e.fifoHead]
+			fn := r.fn
+			*r = event{} // drop the fn reference so the closure can be collected
+			e.fifoHead++
+			if e.fifoHead == len(e.fifo) {
+				e.fifo, e.fifoHead = e.fifo[:0], 0
 			}
-			e.now = ev.at
-			ev.fn()
+			fn()
+		default:
+			e.pop().fn()
 		}
 		n++
 	}
@@ -223,9 +306,10 @@ func (e *Engine) Run(until Time) int {
 	return n
 }
 
-// Pending returns the number of queued events, closure and typed alike.
+// Pending returns the number of queued events, closure, header and
+// typed alike.
 func (e *Engine) Pending() int {
-	return len(e.heap) + len(e.fifo) - e.fifoHead + e.typed
+	return len(e.heap) + len(e.fifo) - e.fifoHead + len(e.hdrs) + e.typed
 }
 
 // eventRun is a FIFO run of typed events whose (time, seq) keys only

@@ -66,12 +66,13 @@ func TestEngineHeapStress(t *testing.T) {
 
 // refEngine is the dispatch contract spelled out: run the queued event
 // with the smallest (time, scheduling order), found by a linear scan.
-// Typed and sorted-header events are plain closures to it: each takes
-// its place in that order when it is scheduled.
+// Header, typed and sorted-header events are plain closures to it: each
+// takes its place in that order when it is scheduled.
 type refEngine struct {
-	now Time
-	seq uint64
-	q   []event
+	now      Time
+	seq      uint64
+	q        []event
+	onHeader func(packet.Header)
 }
 
 func (r *refEngine) Now() Time { return r.now }
@@ -82,6 +83,13 @@ func (r *refEngine) At(t Time, fn func()) {
 	}
 	r.seq++
 	r.q = append(r.q, event{at: t, seq: r.seq, fn: fn})
+}
+
+func (r *refEngine) SetHeaderHandler(fn func(packet.Header)) { r.onHeader = fn }
+
+func (r *refEngine) AfterHeader(d Time, h packet.Header) {
+	h.Time = max(r.now+d, r.now)
+	r.At(h.Time, func() { r.onHeader(h) })
 }
 
 func (r *refEngine) Typed(_ int, t Time, fn func()) { r.At(t, fn) }
@@ -151,19 +159,22 @@ func (t *typedEngine) Sorted(hdrs []packet.Header, offset Time, fn func(packet.H
 }
 
 // TestEngineRunQueueOrder checks that the closure FIFO run, the closure
-// heap, many typed runs and sorted-header runs together dispatch in
-// exactly the reference order. The program mixes an ascending up-front
-// schedule (which fills the FIFO run), out-of-order and past-time
-// inserts (which go to the heap), typed pushes onto 16 runs and sorted
-// header batches, some of them partly in the past. Coarse delays force
-// same-time ties across all three sources; handlers schedule more events
-// of every kind, and Run calls stop mid-queue. The log also records
-// Pending and every header's shifted time, and no sorted batch may be
-// written to.
+// heap, the header heap, many typed runs and sorted-header runs together
+// dispatch in exactly the reference order. The program mixes an
+// ascending up-front schedule (which fills the FIFO run), out-of-order
+// and past-time inserts (which go to the closure heap), header events
+// (some with negative delays, clamped to now), typed pushes onto 16 runs
+// and sorted header batches, some of them partly in the past. Coarse
+// delays force same-time ties across all four sources; handlers schedule
+// more events of every kind, and Run calls stop mid-queue. The log also
+// records Pending, every header event's time and every sorted header's
+// shifted time, and no sorted batch may be written to.
 func TestEngineRunQueueOrder(t *testing.T) {
 	type scheduler interface {
 		Now() Time
 		At(Time, func())
+		SetHeaderHandler(func(packet.Header))
+		AfterHeader(Time, packet.Header)
 		Typed(int, Time, func())
 		Sorted([]packet.Header, Time, func(packet.Header))
 		Run(Time) int
@@ -189,6 +200,16 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			id++
 			s.At(at, func() { handle(me, depth) })
 		}
+		// A header event carries its id in Size and its depth in SrcPort.
+		s.SetHeaderHandler(func(h packet.Header) {
+			log = append(log, h.Time)
+			handle(Time(h.Size), int(h.Key.SrcPort))
+		})
+		header := func(at Time, depth int) {
+			h := packet.Header{Time: -7, Size: uint32(id), Key: packet.FlowKey{SrcPort: uint16(depth)}}
+			id++
+			s.AfterHeader(at-s.Now(), h)
+		}
 		typed := func(k int, at Time, depth int) {
 			at = max(at, s.Now(), last[k])
 			last[k] = at
@@ -212,11 +233,13 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			})
 		}
 		spawn = func(at Time, depth int) {
-			switch r.Intn(5) {
+			switch r.Intn(7) {
 			case 0, 1:
 				closure(at, depth)
 			case 2, 3:
 				typed(r.Intn(nRuns), at, depth)
+			case 4, 5:
+				header(at, depth)
 			default:
 				if depth < 2 { // a batch fans out: keep the program small
 					sorted(at, depth)
@@ -226,16 +249,21 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			}
 		}
 		for i := 0; i < 400; i++ {
-			switch r.Intn(6) {
+			switch r.Intn(8) {
 			case 0, 1:
 				closure(Time(i), 0) // ascending, with ties below
 			case 2:
 				closure(Time(i), 0)
 				typed(r.Intn(nRuns), Time(i), 0)
+				header(Time(i), 0)
 			case 3:
 				closure(Time(r.Intn(600)), 0) // anywhere
 			case 4:
 				typed(r.Intn(nRuns), Time(i+r.Intn(3)*10), 0)
+			case 5:
+				header(Time(r.Intn(600)), 0) // anywhere
+			case 6:
+				header(Time(i+r.Intn(3)*10), 0)
 			default:
 				if r.Intn(8) == 0 {
 					sorted(Time(i), 0)
@@ -275,9 +303,10 @@ func TestEngineRunQueueOrder(t *testing.T) {
 }
 
 // TestEngineCountsTypedEvents pins that Pending and Run's return count
-// typed packet events: an intra-cluster packet crosses three switches,
-// each a departure and an arrival event, and a sorted injection is one
-// pending event per header until it runs.
+// typed packet events and header events: an intra-cluster packet crosses
+// three switches, each a departure and an arrival event, and a sorted
+// injection or a header event is one pending event per header until it
+// runs.
 func TestEngineCountsTypedEvents(t *testing.T) {
 	eng, f, topo := newTestFabric(t)
 	src, dst := pickPair(t, topo, topology.IntraCluster)
@@ -298,6 +327,18 @@ func TestEngineCountsTypedEvents(t *testing.T) {
 		t.Fatalf("ran %d events, want 3 injections and 18 hop events", n)
 	}
 	if eng.Pending() != 0 || f.Sink(dst).Packets != 4 {
+		t.Fatalf("pending %d, delivered %d after drain", eng.Pending(), f.Sink(dst).Packets)
+	}
+	eng.SetHeaderHandler(f.Inject)
+	eng.AfterHeader(Millisecond, hdr)
+	eng.AfterHeader(-Millisecond, hdr) // clamped to now
+	if n := eng.Pending(); n != 2 {
+		t.Fatalf("pending %d after 2 header events", n)
+	}
+	if n := eng.Run(eng.Now() + Second); n != 2+2*6 {
+		t.Fatalf("ran %d events, want 2 header events and 12 hop events", n)
+	}
+	if eng.Pending() != 0 || f.Sink(dst).Packets != 6 {
 		t.Fatalf("pending %d, delivered %d after drain", eng.Pending(), f.Sink(dst).Packets)
 	}
 }

@@ -376,11 +376,33 @@ func (f *Fabric) Inject(hdr packet.Header) { f.inject(hdr, 0) }
 // timestamp plus offset, with offset added to the injected header's
 // Time: the same events, in the same order and with the same sequence
 // numbers, as calling Eng.At(h.Time, func() { f.Inject(h) }) for each
-// shifted header in turn, but without a closure per header. hdrs must
+// shifted header in turn, but without a closure per header: one typed
+// run holding a reserved block of len(hdrs) sequence numbers. hdrs must
 // be sorted by Time. It is read, never written, while the engine runs,
-// so the caller may reuse it for another fabric.
+// so the caller may reuse it for another fabric. InjectStreams injects
+// several sorted streams without merging them.
 func (f *Fabric) InjectSorted(hdrs []packet.Header, offset Time) {
 	f.Eng.atSorted(hdrs, offset, f.Inject)
+}
+
+// InjectStreams injects several time-sorted streams, one InjectSorted
+// run each, in slice order. Back-to-back calls reserve contiguous
+// sequence blocks, so same-time headers of different streams run in
+// stream order: the dispatch order of InjectSorted over the streams'
+// concatenation after a stable sort by Time, without building or
+// sorting that slice. That holds only when no header is clamped to the
+// engine's current time (clamped headers would tie in stream order, not
+// in sorted order), so InjectStreams panics if a stream's first header
+// plus offset is earlier than Eng.Now().
+func (f *Fabric) InjectStreams(streams [][]packet.Header, offset Time) {
+	for _, hdrs := range streams {
+		if len(hdrs) > 0 && hdrs[0].Time+offset < f.Eng.Now() {
+			panic("netsim: injected stream starts before the engine's current time")
+		}
+	}
+	for _, hdrs := range streams {
+		f.InjectSorted(hdrs, offset)
+	}
 }
 
 // inject is Inject plus the delivery-attempt count used by the

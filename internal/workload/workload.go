@@ -97,7 +97,11 @@ func (s batchShim) Packets(hs []packet.Header) {
 
 // Gen is the per-host trace generation context: a discrete-event engine,
 // a deterministic random source, and an ordered emission path to the
-// collector. Service models schedule application behaviour on it.
+// collector. Service models schedule application behaviour on it. The
+// engine's header handler is the Gen's emit path: message trains and
+// delayed ACKs are typed header events (Engine.AfterHeader), not a
+// closure each, so a warm Gen emits them without allocating. The
+// emitted stream is in time order (see emit).
 type Gen struct {
 	Eng  *netsim.Engine
 	R    *rng.Source
@@ -120,7 +124,7 @@ const genBatchSize = 512
 
 // NewGen creates a generation context for monitored host h.
 func NewGen(topo *topology.Topology, h topology.HostID, seed uint64, sink Collector) *Gen {
-	return &Gen{
+	g := &Gen{
 		Eng:      &netsim.Engine{},
 		R:        rng.New(seed),
 		Topo:     topo,
@@ -129,6 +133,8 @@ func NewGen(topo *topology.Topology, h topology.HostID, seed uint64, sink Collec
 		batch:    make(Batch, 0, genBatchSize),
 		nextPort: 32768,
 	}
+	g.Eng.SetHeaderHandler(g.emit)
+	return g
 }
 
 // Run executes the scheduled behaviour until dur, then flushes the
@@ -315,7 +321,9 @@ func (c *Conn) RecvMsg(bytes int) {
 }
 
 // message emits the packet train for one application message.
-// If inbound, data flows peer→host and ACKs host→peer.
+// If inbound, data flows peer→host and ACKs host→peer. Each segment and
+// each delayed ACK is one header event, which takes one sequence number
+// when scheduled, as an After call does.
 func (g *Gen) message(c *Conn, bytes int, inbound bool) {
 	if bytes <= 0 {
 		bytes = 1
@@ -336,15 +344,12 @@ func (g *Gen) message(c *Conn, bytes int, inbound bool) {
 		if remaining <= mss {
 			flags |= packet.FlagPSH
 		}
-		hdr := packet.Header{Key: dataKey, Size: size, Flags: flags}
-		g.Eng.After(t, func() { g.emit(hdr) })
+		g.Eng.AfterHeader(t, packet.Header{Key: dataKey, Size: size, Flags: flags})
 		seg++
 		// Delayed ACK: one per two segments, and one for the tail.
 		if seg%2 == 0 || remaining <= mss {
 			ackAt := t + g.rtt(c.Peer)/2
-			g.Eng.After(ackAt, func() {
-				g.emit(packet.Header{Key: ackKey, Size: packet.ACKSize, Flags: packet.FlagACK})
-			})
+			g.Eng.AfterHeader(ackAt, packet.Header{Key: ackKey, Size: packet.ACKSize, Flags: packet.FlagACK})
 		}
 		// Microsecond pacing between segments of a burst, with a small
 		// random component so packet trains are not perfectly regular.

@@ -243,3 +243,114 @@ func TestDeterministicTrace(t *testing.T) {
 		}
 	}
 }
+
+// closureMessage is Gen.message as it was before header events: one
+// After closure per segment and per delayed ACK. It is the oracle for
+// the dispatch order of the typed path.
+func (g *Gen) closureMessage(c *Conn, bytes int, inbound bool) {
+	if bytes <= 0 {
+		bytes = 1
+	}
+	dataKey, ackKey := c.Key, c.Key.Reverse()
+	if inbound {
+		dataKey, ackKey = ackKey, dataKey
+	}
+	t := netsim.Time(0)
+	seg := 0
+	for remaining := bytes; remaining > 0; remaining -= mss {
+		pl := remaining
+		if pl > mss {
+			pl = mss
+		}
+		flags := packet.FlagACK
+		if remaining <= mss {
+			flags |= packet.FlagPSH
+		}
+		hdr := packet.Header{Key: dataKey, Size: uint32(pl + segOverhead), Flags: flags}
+		g.Eng.After(t, func() { g.emit(hdr) })
+		seg++
+		if seg%2 == 0 || remaining <= mss {
+			ackAt := t + g.rtt(c.Peer)/2
+			g.Eng.After(ackAt, func() {
+				g.emit(packet.Header{Key: ackKey, Size: packet.ACKSize, Flags: packet.FlagACK})
+			})
+		}
+		t += netsim.Time(1200 + g.R.Intn(800))
+	}
+}
+
+// TestMessageMatchesClosureSchedule runs one program twice, once with
+// message trains as header events and once as After closures, and
+// requires identical streams. The program interleaves trains on several
+// connections with handshakes, FIN exchanges and raw emits scheduled as
+// closures at coarse times, so header events tie with closures and with
+// each other.
+func TestMessageMatchesClosureSchedule(t *testing.T) {
+	gen := func(closures bool) []packet.Header {
+		topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+		cap := &capture{}
+		g := NewGen(topo, 2, 7, cap)
+		msg := func(c *Conn, bytes int, inbound bool) {
+			if closures {
+				g.closureMessage(c, bytes, inbound)
+			} else {
+				g.message(c, bytes, inbound)
+			}
+		}
+		conns := []*Conn{g.NewConn(5, 11211, false), g.NewInboundConn(9, 80, false), g.NewConn(40, 50010, false)}
+		g.Poisson(3000, func() {
+			c := conns[g.R.Intn(len(conns))]
+			msg(c, g.R.Intn(9000), g.R.Intn(2) == 0)
+			// Coarse times: ties with the train's own segments and ACKs.
+			g.Eng.After(netsim.Time(g.R.Intn(4))*2000, func() {
+				g.Emit(packet.Header{Key: c.Key, Size: 99})
+			})
+			if g.R.Intn(10) == 0 {
+				hc := g.NewConn(topology.HostID(g.R.Intn(topo.NumHosts())), 80, true)
+				g.Eng.After(netsim.Time(g.R.Intn(3))*1000, func() {
+					msg(hc, g.R.Intn(3000), false)
+					hc.Close()
+				})
+			}
+		})
+		g.Run(netsim.Second / 2)
+		return cap.hdrs
+	}
+	want, got := gen(true), gen(false)
+	if len(want) < 10000 {
+		t.Fatalf("program too light: %d packets", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("packet %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestMessageZeroAlloc pins the generation hot path: once a Gen's queues
+// and emission slab are warm, SendMsg and RecvMsg trains are emitted
+// without allocating.
+func TestMessageZeroAlloc(t *testing.T) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+	var n int
+	g := NewGen(topo, 0, 42, CollectorFunc(func(packet.Header) { n++ }))
+	c := g.NewConn(5, 11211, false)
+	round := func() {
+		c.SendMsg(64 << 10)
+		c.RecvMsg(32 << 10)
+		c.SendMsg(300)
+		g.Run(g.Eng.Now() + netsim.Second)
+	}
+	round()
+	n = 0
+	allocs := testing.AllocsPerRun(100, round)
+	if n == 0 {
+		t.Fatal("no packets emitted")
+	}
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per round of %d emitted packets, want 0", allocs, n/101)
+	}
+}
