@@ -241,36 +241,26 @@ func Example_trafficeng() {
 	host := sys.Monitored(topology.RoleCacheFollower)
 	const seconds = 20
 
-	// Heavy-hitter trackers at every (level, bin) pair.
-	levels := []analysis.Level{analysis.LevelFlow, analysis.LevelHost, analysis.LevelRack}
+	// One heavy-hitter sink tracks every (level, bin) pair.
+	levels := analysis.Levels
 	bins := []netsim.Time{netsim.Millisecond, 10 * netsim.Millisecond, 100 * netsim.Millisecond}
-	hh := map[analysis.Level]map[netsim.Time]*analysis.HeavyHitters{}
-	var sinks workload.Fanout
-	for _, lvl := range levels {
-		hh[lvl] = map[netsim.Time]*analysis.HeavyHitters{}
-		for _, bin := range bins {
-			tr := analysis.NewHeavyHitters(sys.Topo, host, lvl, bin)
-			hh[lvl][bin] = tr
-			sinks = append(sinks, tr)
-		}
-	}
-	services.NewTrace(sys.Pick, host, 11, services.DefaultParams(), sinks).
+	hh := analysis.NewHeavyGroup(sys.Topo, host, levels, bins)
+	services.NewTrace(sys.Pick, host, 11, services.DefaultParams(), hh).
 		Run(seconds * netsim.Second)
+	hh.Finish()
 
 	fmt.Println("cache follower: median % of heavy hitters persisting into the next interval")
 	fmt.Printf("%-8s %10s %10s %10s\n", "level", "1ms", "10ms", "100ms")
 	for _, lvl := range levels {
 		fmt.Printf("%-8s", lvl)
 		for _, bin := range bins {
-			t := hh[lvl][bin]
-			t.Finish()
-			fmt.Printf(" %9.0f%%", t.Persistence().Quantile(0.5))
+			fmt.Printf(" %9.0f%%", hh.Tracker(lvl, bin).Persistence().Quantile(0.5))
 		}
 		fmt.Println()
 	}
 
-	rack100 := hh[analysis.LevelRack][100*netsim.Millisecond].Persistence().Quantile(0.5)
-	flow1 := hh[analysis.LevelFlow][netsim.Millisecond].Persistence().Quantile(0.5)
+	rack100 := hh.Tracker(analysis.LevelRack, 100*netsim.Millisecond).Persistence().Quantile(0.5)
+	flow1 := hh.Tracker(analysis.LevelFlow, netsim.Millisecond).Persistence().Quantile(0.5)
 	fmt.Printf("\nonly rack-level 100-ms heavy hitters (%.0f%%) clear the 35%% predictability\n", rack100)
 	fmt.Printf("bar prior work set for TE; flow-level 1-ms heavy hitters (%.0f%%) do not.\n\n", flow1)
 

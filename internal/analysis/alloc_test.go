@@ -35,31 +35,43 @@ func TestFlowsBatchZeroAlloc(t *testing.T) {
 }
 
 // TestHeavyHittersBinRollZeroAlloc pins the heavy-hitter batch path —
-// including the per-bin roll with its covering-set sort and persistence
-// intersection — at (amortized) zero allocations per packet. The only
-// permitted residue is the geometric growth of the output Samples, which
-// amortizes to well under one allocation per thousand packets.
+// including the per-bin roll with its covering-set sort, the folds into
+// coarser bins and levels, and the persistence intersection — at
+// (amortized) zero allocations per packet, for a stand-alone tracker and
+// for the bundle's nine-tracker group. The only permitted residue is the
+// geometric growth of the output Samples, which amortizes to well under
+// one allocation per thousand packets.
 func TestHeavyHittersBinRollZeroAlloc(t *testing.T) {
 	topo := tinyTopo(t)
-	hh := NewHeavyHitters(topo, 0, LevelFlow, netsim.Millisecond)
-	const nPkts = 8192 // 1 pkt/µs → a bin roll every 1000 packets
-	// Warm through several full seconds so every scratch buffer, set
-	// buffer, and sub-second arena reaches steady-state capacity.
-	var at netsim.Time
-	for s := 0; s < 3; s++ {
-		hh.Packets(allocBatch(t, topo, 64, nPkts, at))
-		at += netsim.Second
-	}
-	run := 0
-	got := testing.AllocsPerRun(50, func() {
-		hh.Packets(allocBatch(t, topo, 64, nPkts, at+netsim.Time(run)*netsim.Second))
-		run++
-	})
-	// allocBatch allocates the batch slice itself (1 alloc); everything
-	// else must amortize to ~0 per packet (Sample growth residue only).
-	const perPacketBudget = 0.01
-	if perPkt := (got - 1) / nPkts; perPkt > perPacketBudget {
-		t.Fatalf("HeavyHitters.Packets allocated %.2f allocs/run (%.5f/packet) over %d packets, want ≤%.2f/packet",
-			got, perPkt, nPkts, perPacketBudget)
+	for _, c := range []struct {
+		name string
+		sink interface {
+			Packets([]packet.Header)
+		}
+	}{
+		{"tracker", NewHeavyHitters(topo, 0, LevelFlow, netsim.Millisecond)},
+		{"group", NewHeavyGroup(topo, 0, Levels, hhBins)},
+	} {
+		const nPkts = 8192 // 1 pkt/µs → a bin roll every 1000 packets
+		// Warm through several full seconds so every table, scratch
+		// buffer, set buffer, and sub-second arena reaches steady-state
+		// capacity.
+		var at netsim.Time
+		for s := 0; s < 3; s++ {
+			c.sink.Packets(allocBatch(t, topo, 64, nPkts, at))
+			at += netsim.Second
+		}
+		run := 0
+		got := testing.AllocsPerRun(50, func() {
+			c.sink.Packets(allocBatch(t, topo, 64, nPkts, at+netsim.Time(run)*netsim.Second))
+			run++
+		})
+		// allocBatch allocates the batch slice itself (1 alloc); everything
+		// else must amortize to ~0 per packet (Sample growth residue only).
+		const perPacketBudget = 0.01
+		if perPkt := (got - 1) / nPkts; perPkt > perPacketBudget {
+			t.Fatalf("%s: Packets allocated %.2f allocs/run (%.5f/packet) over %d packets, want ≤%.2f/packet",
+				c.name, got, perPkt, nPkts, perPacketBudget)
+		}
 	}
 }

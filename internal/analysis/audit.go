@@ -128,6 +128,19 @@ func (a *Arrivals) FoldAudit(h *audit.Hash) {
 	}
 }
 
+// FoldAudit folds a heavy-hitter tracker's four samples (exact and
+// sketch trackers alike): set sizes, member rates, persistence and
+// intersection. Call after Finish.
+func (s *heavyStats) FoldAudit(h *audit.Hash) {
+	if !h.Enabled() {
+		return
+	}
+	foldSample(h, s.counts)
+	foldSample(h, s.rates)
+	foldSample(h, s.persist)
+	foldSample(h, s.intersect)
+}
+
 // FoldAudit folds the finished concurrency windows: the aggregate and
 // per-locality samples in locality order. Call after Finish.
 func (c *Concurrency) FoldAudit(h *audit.Hash) {

@@ -1,9 +1,8 @@
 package analysis
 
 import (
-	"slices"
-
 	"fbdcnet/internal/netsim"
+	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/packet"
 	"fbdcnet/internal/sketch"
 	"fbdcnet/internal/stats"
@@ -19,10 +18,9 @@ type HeavyTracker interface {
 	Packet(packet.Header)
 	Packets([]packet.Header)
 	Finish()
-	Counts() *stats.Sample
-	Rates() *stats.Sample
-	Persistence() *stats.Sample
-	Intersection() *stats.Sample
+	// heavyResults: Counts, Rates, Persistence, Intersection and
+	// FoldAudit, which both implementations share through heavyStats.
+	heavyResults
 	TableStats() []TableStats
 	// MemoryBytes estimates the tracker's table-state footprint — the
 	// state sketch mode replaces: for the exact tracker it grows with the
@@ -31,9 +29,21 @@ type HeavyTracker interface {
 	MemoryBytes() int
 }
 
-// NewHeavyTracker returns the heavy-hitter tracker for one (level, bin)
-// pair: the exact openhash implementation by default, the fixed-memory
-// sketch implementation when sketchMode is set.
+// heavyResults is the read side of a heavy-hitter tracker: the four
+// output samples and their audit fold.
+type heavyResults interface {
+	Counts() *stats.Sample
+	Rates() *stats.Sample
+	Persistence() *stats.Sample
+	Intersection() *stats.Sample
+	FoldAudit(*audit.Hash)
+}
+
+// NewHeavyTracker returns a stand-alone heavy-hitter tracker for one
+// (level, bin) pair, fed directly: by default the exact implementation
+// (a HeavyGroup of one tracker, see NewHeavyHitters), the fixed-memory
+// sketch implementation when sketchMode is set. To track several pairs
+// of one host exactly, attach one NewHeavyGroup instead.
 func NewHeavyTracker(topo *topology.Topology, host topology.HostID, level Level, bin netsim.Time, sketchMode bool) HeavyTracker {
 	if sketchMode {
 		return NewSketchHeavyHitters(topo, host, level, bin)
@@ -68,6 +78,10 @@ func SketchDims(level Level) (ssCap, cmWidth int) {
 // is made against true total bytes — only membership and per-member
 // bytes are approximate.
 //
+// Unlike the exact HeavyGroup, one tracker serves one (level, bin) pair
+// and sees every packet: space-saving's evictions depend on arrival
+// order, so a bin's summary cannot be folded from finer ones.
+//
 // Memory is fixed at construction regardless of how many distinct
 // aggregates the stream carries; every accumulator is Reset-reused at
 // bin/second rolls, so the steady-state packet path allocates nothing —
@@ -78,29 +92,19 @@ func SketchDims(level Level) (ssCap, cmWidth int) {
 // (bundle generation is single-goroutine; the parallel engine only
 // schedules whole bundles).
 type SketchHeavyHitters struct {
+	heavyStats
 	topo  *topology.Topology
 	addr  packet.Addr
 	level Level
-	bin   netsim.Time
 
 	cur    *sketch.SpaceSaving
 	curCM  *sketch.CountMin
 	curBin int64
-	prev   []uint64 // previous bin's heavy set, sorted ascending
-	prevOK bool
-	prevNo int64
 
-	// Enclosing-second tracking for the intersection metric.
-	sec      *sketch.SpaceSaving
-	secCM    *sketch.CountMin
-	secNo    int64
-	subArena []uint64
-	subEnds  []int
-
-	counts    *stats.Sample
-	rates     *stats.Sample
-	persist   *stats.Sample
-	intersect *stats.Sample
+	// Enclosing-second summaries for the intersection metric.
+	sec   *sketch.SpaceSaving
+	secCM *sketch.CountMin
+	secNo int64
 
 	top     []sketch.Entry // Top() drain buffer
 	scratch []hhItem       // refined-estimate sort buffer
@@ -116,25 +120,23 @@ func NewSketchHeavyHitters(topo *topology.Topology, host topology.HostID, level 
 	}
 	ssCap, cmWidth := SketchDims(level)
 	return &SketchHeavyHitters{
-		topo:      topo,
-		addr:      topo.Addr(host),
-		level:     level,
-		bin:       bin,
-		cur:       sketch.NewSpaceSaving(ssCap),
-		curCM:     sketch.NewCountMin(4, cmWidth),
-		sec:       sketch.NewSpaceSaving(ssCap),
-		secCM:     sketch.NewCountMin(4, cmWidth),
-		counts:    stats.NewSample(0),
-		rates:     stats.NewSample(0),
-		persist:   stats.NewSample(0),
-		intersect: stats.NewSample(0),
-		top:       make([]sketch.Entry, 0, ssCap),
-		scratch:   make([]hhItem, 0, ssCap),
+		heavyStats: newHeavyStats(bin),
+		topo:       topo,
+		addr:       topo.Addr(host),
+		level:      level,
+		cur:        sketch.NewSpaceSaving(ssCap),
+		curCM:      sketch.NewCountMin(4, cmWidth),
+		sec:        sketch.NewSpaceSaving(ssCap),
+		secCM:      sketch.NewCountMin(4, cmWidth),
+		top:        make([]sketch.Entry, 0, ssCap),
+		scratch:    make([]hhItem, 0, ssCap),
 	}
 }
 
-// keyFor mirrors HeavyHitters.keyFor: the packed aggregate identity at
-// the tracker's level.
+// keyFor maps a header to its packed aggregate identity at the tracker's
+// level: the full packed flow key, the destination address, or the
+// destination rack ID (0 for a destination outside the topology) — the
+// keys the exact HeavyGroup derives at bin roll.
 func (hh *SketchHeavyHitters) keyFor(h packet.Header) uint64 {
 	switch hh.level {
 	case LevelFlow:
@@ -179,12 +181,9 @@ func (hh *SketchHeavyHitters) Packets(hs []packet.Header) {
 }
 
 // heavyPrefix drains the summary's candidates, refines each count to
-// min(space-saving count, count-min estimate), sorts by refined bytes
-// descending (key ascending on ties, the same deterministic order as the
-// exact tracker), and returns the length m of the minimum prefix
-// covering HeavyFrac of the exact total. The heavy set is
-// hh.scratch[:m].
-func (hh *SketchHeavyHitters) heavyPrefix(ss *sketch.SpaceSaving, cm *sketch.CountMin) int {
+// min(space-saving count, count-min estimate), and returns the heavy set
+// against the exact total (see heavySet).
+func (hh *SketchHeavyHitters) heavyPrefix(ss *sketch.SpaceSaving, cm *sketch.CountMin) []hhItem {
 	hh.top = ss.Top(hh.top[:0])
 	items := hh.scratch[:0]
 	for _, e := range hh.top {
@@ -195,59 +194,17 @@ func (hh *SketchHeavyHitters) heavyPrefix(ss *sketch.SpaceSaving, cm *sketch.Cou
 		items = append(items, hhItem{e.Key, float64(est)})
 	}
 	hh.scratch = items
-	slices.SortFunc(items, func(a, b hhItem) int {
-		if a.v != b.v {
-			if a.v > b.v {
-				return -1
-			}
-			return 1
-		}
-		if a.k < b.k {
-			return -1
-		}
-		return 1
-	})
-	total := float64(ss.Total())
-	acc, m := 0.0, 0
-	for _, it := range items {
-		m++
-		acc += it.v
-		if acc >= HeavyFrac*total {
-			break
-		}
-	}
-	return m
+	return heavySet(items, float64(ss.Total()))
 }
 
-// sortedSet copies the first m scratch keys into buf, sorted ascending.
-func (hh *SketchHeavyHitters) sortedSet(m int, buf []uint64) []uint64 {
-	buf = buf[:0]
-	for i := 0; i < m; i++ {
-		buf = append(buf, hh.scratch[i].k)
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-// rollBin finalizes the current bin, mirroring the exact tracker's roll:
-// Table 4 statistics, persistence versus the previous bin, and the
-// stashed set for the enclosing-second intersection.
+// rollBin finalizes the current bin, as the exact tracker does: Table 4
+// statistics, persistence versus the previous bin, and the stashed set
+// for the enclosing-second intersection.
 func (hh *SketchHeavyHitters) rollBin(next int64) {
 	if hh.cur.Len() > 0 {
-		m := hh.heavyPrefix(hh.cur, hh.curCM)
-		hh.counts.Add(float64(m))
-		binSec := float64(hh.bin) / float64(netsim.Second)
-		for i := 0; i < m; i++ {
-			hh.rates.Add(hh.scratch[i].v * 8 / binSec / 1e6) // Mbps
-		}
-		hh.setBuf = hh.sortedSet(m, hh.setBuf)
-		if hh.prevOK && hh.prevNo == hh.curBin-1 {
-			hh.persist.Add(overlapSorted(hh.prev, hh.setBuf))
-		}
-		hh.prev = append(hh.prev[:0], hh.setBuf...)
-		hh.prevOK, hh.prevNo = true, hh.curBin
-		hh.subArena = append(hh.subArena, hh.setBuf...)
-		hh.subEnds = append(hh.subEnds, len(hh.subArena))
+		heavy := hh.heavyPrefix(hh.cur, hh.curCM)
+		hh.setBuf = sortedKeys(heavy, hh.setBuf)
+		hh.addBin(hh.curBin, heavy, hh.setBuf)
 		hh.cur.Reset()
 		hh.curCM.Reset()
 	}
@@ -256,22 +213,14 @@ func (hh *SketchHeavyHitters) rollBin(next int64) {
 
 // rollSecond finalizes the enclosing second.
 func (hh *SketchHeavyHitters) rollSecond(next int64) {
+	var set []uint64
 	if hh.sec.Len() > 0 && len(hh.subEnds) > 0 {
-		m := hh.heavyPrefix(hh.sec, hh.secCM)
-		hh.secBuf = hh.sortedSet(m, hh.secBuf)
-		start := 0
-		for _, end := range hh.subEnds {
-			sub := hh.subArena[start:end]
-			start = end
-			if len(sub) > 0 {
-				hh.intersect.Add(overlapSorted(sub, hh.secBuf))
-			}
-		}
+		hh.secBuf = sortedKeys(hh.heavyPrefix(hh.sec, hh.secCM), hh.secBuf)
+		set = hh.secBuf
 	}
+	hh.addSecond(set)
 	hh.sec.Reset()
 	hh.secCM.Reset()
-	hh.subArena = hh.subArena[:0]
-	hh.subEnds = hh.subEnds[:0]
 	hh.secNo = next
 }
 
@@ -280,20 +229,6 @@ func (hh *SketchHeavyHitters) Finish() {
 	hh.rollBin(hh.curBin + 1)
 	hh.rollSecond(hh.secNo + 1)
 }
-
-// Counts returns the per-bin heavy-hitter set sizes (Table 4 "Number").
-func (hh *SketchHeavyHitters) Counts() *stats.Sample { return hh.counts }
-
-// Rates returns the per-member rates in Mbps (Table 4 "Size").
-func (hh *SketchHeavyHitters) Rates() *stats.Sample { return hh.rates }
-
-// Persistence returns the next-bin heavy-set overlap distribution
-// (Fig. 10).
-func (hh *SketchHeavyHitters) Persistence() *stats.Sample { return hh.persist }
-
-// Intersection returns the subinterval-versus-second overlap
-// distribution (Fig. 11).
-func (hh *SketchHeavyHitters) Intersection() *stats.Sample { return hh.intersect }
 
 // TableStats reports the candidate summaries in the same shape as the
 // exact tables so the obs folding stays uniform. Grows is always zero:
@@ -313,12 +248,4 @@ func (hh *SketchHeavyHitters) TableStats() []TableStats {
 func (hh *SketchHeavyHitters) MemoryBytes() int {
 	return hh.cur.Bytes() + hh.curCM.Bytes() + hh.sec.Bytes() + hh.secCM.Bytes() +
 		24*cap(hh.top) + 16*cap(hh.scratch)
-}
-
-// MemoryBytes estimates the exact tracker's table-state footprint: 16
-// bytes per open-addressing slot (packed key + float64) across both
-// tables plus the extraction scratch, growing with the key population.
-// The shared persistence bookkeeping is excluded, as above.
-func (hh *HeavyHitters) MemoryBytes() int {
-	return 16*(hh.cur.Cap()+hh.sec.Cap()) + 16*cap(hh.scratch)
 }

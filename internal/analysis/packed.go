@@ -16,7 +16,9 @@ import "fbdcnet/internal/packet"
 // Preconditions: Dst < 2^31 (topology addresses are dense host indices,
 // far below this even at -scale large) and Proto ∈ {TCP, UDP} (the only
 // protocols the packet layer produces). Callers with foreign addresses
-// must check canPackAddr and take a spill path.
+// must check canPackAddr and take a spill path. HeavyGroup relies on the
+// first: it recovers a key's destination address as k>>33 when it folds
+// flow totals into host totals.
 func packHostFlowKey(k packet.FlowKey) uint64 {
 	proto := uint64(0)
 	if k.Proto != packet.TCP {

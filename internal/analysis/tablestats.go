@@ -27,14 +27,20 @@ func (fl *Flows) TableStats() []TableStats {
 	}
 }
 
-// TableStats reports the per-bin and per-second accumulators. Rows are a
-// point-in-time residue (both tables Reset on every roll); Cap and Grows
-// carry the steady-state sizing signal.
+// TableStats reports the tracker's own tables in its group: its level's
+// table at its bin ("heavy.cur") and, at the group's coarsest bin, its
+// level's per-second table ("heavy.sec"), so a group reports each table
+// once. Rows are a point-in-time residue (tables Reset on every roll);
+// Cap and Grows carry the steady-state sizing signal.
 func (hh *HeavyHitters) TableStats() []TableStats {
-	return []TableStats{
-		{Name: "heavy.cur", Rows: hh.cur.Len(), Cap: hh.cur.Cap(), Grows: hh.cur.Grows()},
-		{Name: "heavy.sec", Rows: hh.sec.Len(), Cap: hh.sec.Cap(), Grows: hh.sec.Grows()},
+	g := hh.g
+	cur := &g.tabs[hh.level][hh.i]
+	ts := []TableStats{{Name: "heavy.cur", Rows: cur.Len(), Cap: cur.Cap(), Grows: cur.Grows()}}
+	if hh.i == len(g.bins)-1 {
+		sec := &g.sec[hh.level]
+		ts = append(ts, TableStats{Name: "heavy.sec", Rows: sec.Len(), Cap: sec.Cap(), Grows: sec.Grows()})
 	}
+	return ts
 }
 
 // TableStats reports the per-window accumulators.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fbdcnet/internal/analysis"
@@ -196,12 +197,8 @@ func percentileOf(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	c := append([]float64(nil), vs...)
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
+	c := slices.Clone(vs)
+	slices.Sort(c)
 	i := int(p * float64(len(c)-1))
 	return c[i]
 }

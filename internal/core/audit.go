@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
+	"fbdcnet/internal/analysis"
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/telemetry"
@@ -43,6 +45,11 @@ func (s *System) auditTrace(b *TraceBundle) {
 	fold("sizes", b.Sizes)
 	fold("arrivals", b.Arr)
 	fold("concurrency", b.Conc)
+	for _, lvl := range analysis.Levels {
+		for _, bin := range HHBins {
+			fold(fmt.Sprintf("hh:%s:%dms", strings.ToLower(lvl.String()), bin/netsim.Millisecond), b.HH[lvl][bin])
+		}
+	}
 }
 
 // auditTelemetry checkpoints the merged telemetry aggregate: the path-

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fbdcnet/internal/obs/audit"
+	"fbdcnet/internal/topology"
 )
 
 // auditLedger collects the fleet dataset under a fresh recorder and
@@ -367,5 +368,39 @@ func TestSuiteSectionCheckpoints(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("suite:table3 checkpoint missing from ledger")
+	}
+}
+
+// TestTraceHeavyHitterCheckpoints checks that a bundle records one
+// ledger point per heavy-hitter tracker, named by level and bin, in
+// exact and sketch mode, and that the points fold the trackers'
+// samples: no two of a bundle's nine trackers share a hash.
+func TestTraceHeavyHitterCheckpoints(t *testing.T) {
+	for _, sketch := range []bool{false, true} {
+		cfg := QuickConfig()
+		cfg.SketchMode = sketch
+		cfg.Audit = audit.New()
+		MustNewSystem(cfg).Trace(topology.RoleCacheFollower, 2)
+		got := map[string]audit.Checkpoint{}
+		for _, cp := range cfg.Audit.Checkpoints() {
+			got[cp.Stage] = cp
+		}
+		seen := map[uint64]string{}
+		for _, lvl := range []string{"flows", "hosts", "racks"} {
+			for _, bin := range []string{"1ms", "10ms", "100ms"} {
+				stage := "analysis:Cache-f:2s:hh:" + lvl + ":" + bin
+				cp, ok := got[stage]
+				if !ok {
+					t.Fatalf("sketch=%v: no checkpoint %s", sketch, stage)
+				}
+				if cp.Count != 8 {
+					t.Fatalf("sketch=%v: %s folds %d items, want 8 (N and Sum of four samples)", sketch, stage, cp.Count)
+				}
+				if other, dup := seen[cp.Sum]; dup {
+					t.Fatalf("sketch=%v: %s and %s share hash %016x", sketch, stage, other, cp.Sum)
+				}
+				seen[cp.Sum] = stage
+			}
+		}
 	}
 }

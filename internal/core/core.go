@@ -293,7 +293,8 @@ type TraceBundle struct {
 }
 
 // HHBins are the sub-second windows the heavy-hitter analyses use
-// (Table 4, Figs. 10–11).
+// (Table 4, Figs. 10–11). They nest (each divides the next, and 100 ms
+// divides a second), as the exact HeavyGroup requires.
 var HHBins = []netsim.Time{
 	netsim.Millisecond,
 	10 * netsim.Millisecond,
@@ -354,14 +355,7 @@ func (s *System) generateTrace(role topology.Role, seconds int) *TraceBundle {
 		b.Rates.Filter = func(d topology.HostID) bool { return s.Topo.HostRole(d) == topology.RoleCacheFollower }
 	}
 	sinks := workload.Fanout{b.Mix, b.Loc, b.Flows, b.Rates, b.Sizes, b.Arr, b.Conc}
-	for _, lvl := range []analysis.Level{analysis.LevelFlow, analysis.LevelHost, analysis.LevelRack} {
-		b.HH[lvl] = make(map[netsim.Time]analysis.HeavyTracker)
-		for _, bin := range HHBins {
-			hh := analysis.NewHeavyTracker(s.Topo, host, lvl, bin, s.Cfg.SketchMode)
-			b.HH[lvl][bin] = hh
-			sinks = append(sinks, hh)
-		}
-	}
+	sinks = append(sinks, s.heavySinks(host, b.HH)...)
 
 	tr := services.NewTrace(s.Pick, host, s.Cfg.Seed^uint64(role)<<8^uint64(seconds), s.Cfg.Params, sinks)
 	tr.Run(netsim.Time(seconds) * netsim.Second)
@@ -376,6 +370,34 @@ func (s *System) generateTrace(role topology.Role, seconds int) *TraceBundle {
 	s.foldTrace(b, tr.G.Batches())
 	s.auditTrace(b)
 	return b
+}
+
+// heavySinks fills hh with a tracker per (level, HHBins bin) and returns
+// the sinks to attach: in exact mode one HeavyGroup, which makes one
+// table update per outbound header and derives every pair at bin roll
+// (finishing any of its trackers finishes it); in sketch mode one
+// SketchHeavyHitters per pair, since space-saving summaries depend on
+// arrival order and cannot be folded.
+func (s *System) heavySinks(host topology.HostID, hh map[analysis.Level]map[netsim.Time]analysis.HeavyTracker) workload.Fanout {
+	var g *analysis.HeavyGroup
+	var sinks workload.Fanout
+	if !s.Cfg.SketchMode {
+		g = analysis.NewHeavyGroup(s.Topo, host, analysis.Levels, HHBins)
+		sinks = append(sinks, g)
+	}
+	for _, lvl := range analysis.Levels {
+		hh[lvl] = make(map[netsim.Time]analysis.HeavyTracker)
+		for _, bin := range HHBins {
+			if g != nil {
+				hh[lvl][bin] = g.Tracker(lvl, bin)
+				continue
+			}
+			sk := analysis.NewSketchHeavyHitters(s.Topo, host, lvl, bin)
+			hh[lvl][bin] = sk
+			sinks = append(sinks, sk)
+		}
+	}
+	return sinks
 }
 
 // DiurnalFactor returns the load multiplier at a fraction t∈[0,1) through

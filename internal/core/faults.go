@@ -141,8 +141,8 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	packet.SortByTime(delivered)
 
 	m := DegradedMetrics{LocalityBytes: map[string]float64{}}
-	hhRack := analysis.NewHeavyHitters(s.Topo, focus, analysis.LevelRack, netsim.Millisecond)
-	hhFlow := analysis.NewHeavyHitters(s.Topo, focus, analysis.LevelFlow, netsim.Millisecond)
+	hh := analysis.NewHeavyGroup(s.Topo, focus,
+		[]analysis.Level{analysis.LevelFlow, analysis.LevelRack}, []netsim.Time{netsim.Millisecond})
 	locBytes := make(map[topology.Locality]float64)
 	for _, h := range delivered {
 		m.DeliveredPkts++
@@ -152,11 +152,9 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 		if srcOK && dstOK {
 			locBytes[s.Topo.Locality(src, dst)] += float64(h.Size)
 		}
-		hhRack.Packet(h)
-		hhFlow.Packet(h)
+		hh.Packet(h)
 	}
-	hhRack.Finish()
-	hhFlow.Finish()
+	hh.Finish()
 	if s.degradedOffBytes > 0 {
 		m.DeliveredFrac = float64(m.DeliveredBytes) / float64(s.degradedOffBytes)
 	}
@@ -165,8 +163,8 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 			m.LocalityBytes[l.String()] = locBytes[l] / float64(m.DeliveredBytes)
 		}
 	}
-	m.HHRackP50 = hhRack.Counts().Quantile(0.5)
-	m.HHFlowP50 = hhFlow.Counts().Quantile(0.5)
+	m.HHRackP50 = hh.Tracker(analysis.LevelRack, netsim.Millisecond).Counts().Quantile(0.5)
+	m.HHFlowP50 = hh.Tracker(analysis.LevelFlow, netsim.Millisecond).Counts().Quantile(0.5)
 	return m, fab.Faults()
 }
 

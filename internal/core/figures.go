@@ -311,7 +311,7 @@ func (f *HHDynamicsResult) Render() string {
 		"intersect 1ms", "intersect 10ms", "intersect 100ms"}
 	var rows [][]string
 	for _, role := range hhRoles {
-		for _, lvl := range []analysis.Level{analysis.LevelFlow, analysis.LevelHost, analysis.LevelRack} {
+		for _, lvl := range analysis.Levels {
 			row := []string{role.String(), lvl.String()}
 			for _, bin := range HHBins {
 				row = append(row, fmt.Sprintf("%.0f", f.Persistence[role][lvl][bin]))

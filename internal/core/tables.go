@@ -124,7 +124,7 @@ func (s *System) Table4() *Table4Result {
 	out := &Table4Result{}
 	for _, role := range MonitoredRoles {
 		b := s.Trace(role, s.Cfg.ShortTraceSec)
-		for _, lvl := range []analysis.Level{analysis.LevelFlow, analysis.LevelHost, analysis.LevelRack} {
+		for _, lvl := range analysis.Levels {
 			hh := b.HH[lvl][netsim.Millisecond]
 			counts, rates := hh.Counts(), hh.Rates()
 			out.Rows = append(out.Rows, Table4Row{

@@ -1,6 +1,7 @@
 package services
 
 import (
+	"slices"
 	"testing"
 
 	"fbdcnet/internal/netsim"
@@ -308,12 +309,8 @@ func TestHotObjectMitigationAblation(t *testing.T) {
 }
 
 func medianFloat(xs []float64) float64 {
-	c := append([]float64(nil), xs...)
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
+	c := slices.Clone(xs)
+	slices.Sort(c)
 	return c[len(c)/2]
 }
 
@@ -468,12 +465,8 @@ func medianInt(xs []int) int {
 	if len(xs) == 0 {
 		return 0
 	}
-	c := append([]int(nil), xs...)
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
+	c := slices.Clone(xs)
+	slices.Sort(c)
 	return c[len(c)/2]
 }
 

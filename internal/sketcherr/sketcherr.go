@@ -184,7 +184,7 @@ func Run(cfg Config) (*Report, error) {
 	d := newDual(sys.Topo.Addr(host), cfg.Bin)
 	sinks := workload.Fanout{d}
 	var exacts, sketches []analysis.HeavyTracker
-	for _, lvl := range []analysis.Level{analysis.LevelFlow, analysis.LevelHost, analysis.LevelRack} {
+	for _, lvl := range analysis.Levels {
 		e := analysis.NewHeavyTracker(sys.Topo, host, lvl, cfg.Bin, false)
 		sk := analysis.NewHeavyTracker(sys.Topo, host, lvl, cfg.Bin, true)
 		exacts, sketches = append(exacts, e), append(sketches, sk)
