@@ -7,28 +7,43 @@ import (
 )
 
 // PacketSizes accumulates the on-wire packet size distribution of a
-// monitored host's trace (both directions) — Figure 12.
+// monitored host's trace (both directions) — Figure 12. Sizes are
+// integers below the MTU, so it keeps an exact count per size and builds
+// the sorted sample only when asked.
 type PacketSizes struct {
-	sample *stats.Sample
+	counts []int64       // counts[s] packets of s bytes
+	sample *stats.Sample // built by Sample; nil once more packets arrive
 }
 
 // NewPacketSizes returns an empty accumulator.
-func NewPacketSizes() *PacketSizes {
-	return &PacketSizes{sample: stats.NewSample(0)}
-}
+func NewPacketSizes() *PacketSizes { return &PacketSizes{} }
 
 // Packet implements the collector interface.
-func (ps *PacketSizes) Packet(h packet.Header) { ps.sample.Add(float64(h.Size)) }
+func (ps *PacketSizes) Packet(h packet.Header) { ps.Packets([]packet.Header{h}) }
 
 // Packets implements the batch collector interface.
 func (ps *PacketSizes) Packets(hs []packet.Header) {
 	for _, h := range hs {
-		ps.sample.Add(float64(h.Size))
+		if int(h.Size) >= len(ps.counts) {
+			ps.counts = append(ps.counts, make([]int64, int(h.Size)+1-len(ps.counts))...)
+		}
+		ps.counts[h.Size]++
 	}
+	ps.sample = nil
 }
 
-// Sample returns the size distribution in bytes.
-func (ps *PacketSizes) Sample() *stats.Sample { return ps.sample }
+// Sample returns the size distribution in bytes, in ascending order.
+func (ps *PacketSizes) Sample() *stats.Sample {
+	if ps.sample == nil {
+		ps.sample = stats.NewSample(0)
+		for size, c := range ps.counts {
+			for ; c > 0; c-- {
+				ps.sample.Add(float64(size))
+			}
+		}
+	}
+	return ps.sample
+}
 
 // Arrivals studies the packet arrival process of a monitored host's
 // outbound traffic: binned counts at several widths (the Fig. 13 on/off

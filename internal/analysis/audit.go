@@ -45,12 +45,19 @@ func foldSeries(h *audit.Hash, ts *stats.TimeSeries) {
 	}
 }
 
-// FoldAudit folds the size distribution.
+// FoldAudit folds the size distribution as foldSample folds its sample:
+// the byte sum is an integer far below 2^53, so the float sum over the
+// packets in any order is this exact total.
 func (ps *PacketSizes) FoldAudit(h *audit.Hash) {
 	if !h.Enabled() {
 		return
 	}
-	foldSample(h, ps.sample)
+	var n, sum int64
+	for size, c := range ps.counts {
+		n, sum = n+c, sum+int64(size)*c
+	}
+	h.I64(n)
+	h.F64(float64(sum))
 }
 
 // FoldAudit folds the per-role byte mix in role order.

@@ -90,20 +90,18 @@ func Generate(topo *topology.Topology, host topology.HostID, seed uint64, p OnOf
 		}
 		return idx
 	}
+	// The model's events: a hot-flow rotation, and the start of an on or
+	// an off period.
+	const (
+		kindRotate = workload.KindModel + iota
+		kindOn
+		kindOff
+	)
 	// The literature's elephants are sticky: one dominant flow persists
 	// for seconds (the regime Hedera-style traffic engineering targets),
 	// rotating only occasionally.
 	hotIdx := pickIdx()
-	var rotate func()
-	rotate = func() {
-		hotIdx = pickIdx()
-		g.Eng.After(2*netsim.Second, rotate)
-	}
-	g.Eng.After(2*netsim.Second, rotate)
-
-	var onPhase func()
-	var offPhase func()
-	onPhase = func() {
+	onPhase := func() {
 		onLen := netsim.Time(p.OnPeriod.Sample(g.R) * float64(netsim.Millisecond))
 		n := int(onLen / gap)
 		if n < 1 {
@@ -119,16 +117,23 @@ func Generate(topo *topology.Topology, host topology.HostID, seed uint64, p OnOf
 			if g.R.Bool(p.MTUFrac) {
 				size = packet.MTUSize
 			}
-			at := netsim.Time(i) * gap
-			hdr := packet.Header{Key: c.Key, Size: uint32(size), Flags: packet.FlagACK}
-			g.Eng.After(at, func() { g.Emit(hdr) })
+			g.Eng.AfterHeader(netsim.Time(i)*gap, packet.Header{Key: c.Key, Size: uint32(size), Flags: packet.FlagACK})
 		}
-		g.Eng.After(onLen, offPhase)
+		g.Eng.AfterEvent(onLen, netsim.Event{Kind: kindOff})
 	}
-	offPhase = func() {
-		offLen := netsim.Time(p.OffPeriod.Sample(g.R) * float64(netsim.Millisecond))
-		g.Eng.After(offLen, onPhase)
-	}
+	g.SetModelHandler(func(ev netsim.Event) {
+		switch ev.Kind {
+		case kindRotate:
+			hotIdx = pickIdx()
+			g.Eng.AfterEvent(2*netsim.Second, ev)
+		case kindOn:
+			onPhase()
+		case kindOff:
+			offLen := netsim.Time(p.OffPeriod.Sample(g.R) * float64(netsim.Millisecond))
+			g.Eng.AfterEvent(offLen, netsim.Event{Kind: kindOn})
+		}
+	})
+	g.Eng.AfterEvent(2*netsim.Second, netsim.Event{Kind: kindRotate})
 	onPhase()
 	g.Run(dur)
 	return g.Emitted()

@@ -31,8 +31,9 @@ type IncastPoint struct {
 	// LastArrivalMs is when the final response byte arrived (flow
 	// completion time of the scatter-gather).
 	LastArrivalMs float64
-	// MeanDelayUs and MaxDelayUs are per-packet network delays at the
-	// receiving host.
+	// MeanDelayUs and MaxDelayUs are per-packet delays at the receiving
+	// host, counted from the start of the synchronized burst, so they
+	// include each sender's pacing as well as the network's delay.
 	MeanDelayUs float64
 	MaxDelayUs  float64
 }
@@ -74,43 +75,45 @@ func (s *System) ExtensionIncast(senders []int, respBytes int, bufBytes int64) *
 			})
 
 		var lastArrival netsim.Time
-		fabric.Sink(web).OnPacket = func(*netsim.Packet) { lastArrival = eng.Now() }
+		var delaySum, delayMax float64 // since the burst began at t=0
+		fabric.Sink(web).OnPacket = func(*netsim.Packet) {
+			lastArrival = eng.Now()
+			delaySum += float64(lastArrival)
+			delayMax = max(delayMax, float64(lastArrival))
+		}
 
 		// Every sender's full response enters the fabric at t=0, segmented
 		// into MTU packets — the synchronized scatter-gather reply.
-		for i := 0; i < n; i++ {
+		streams := make([][]packet.Header, n)
+		for i := range streams {
 			src := caches.At(i)
-			remaining := respBytes
-			t := netsim.Time(0)
-			for seq := 0; remaining > 0; seq++ {
-				pl := remaining
-				if pl > 1448 {
-					pl = 1448
-				}
-				remaining -= pl
-				hdr := packet.Header{
+			for sent := 0; sent < respBytes; sent += 1448 {
+				streams[i] = append(streams[i], packet.Header{
+					Time: netsim.Time(len(streams[i])) * 1200, // line-rate-ish pacing within a sender
 					Key: packet.FlowKey{
 						Src: s.Topo.Addr(src), Dst: s.Topo.Addr(web),
 						SrcPort: uint16(40000 + uint32(src)%20000), DstPort: 11211, Proto: packet.TCP,
 					},
-					Size: uint32(pl + 66),
-				}
-				at := t
-				eng.At(at, func() { fabric.Inject(hdr) })
-				t += 1200 // line-rate-ish pacing within a sender
+					Size: uint32(min(respBytes-sent, 1448) + 66),
+				})
 			}
 		}
+		fabric.InjectStreams(streams, 0)
 		eng.Run(100 * netsim.Millisecond)
 
 		sink := fabric.Sink(web)
+		meanDelay := 0.0
+		if sink.Packets > 0 {
+			meanDelay = delaySum / float64(sink.Packets)
+		}
 		res.Points = append(res.Points, IncastPoint{
 			Senders:       n,
 			Delivered:     sink.Packets,
 			Dropped:       rsw.Drops(),
 			QueuePeak:     float64(peak) / float64(bufBytes),
 			LastArrivalMs: float64(lastArrival) / float64(netsim.Millisecond),
-			MeanDelayUs:   sink.Delay.Mean() / float64(netsim.Microsecond),
-			MaxDelayUs:    sink.Delay.Max / float64(netsim.Microsecond),
+			MeanDelayUs:   meanDelay / float64(netsim.Microsecond),
+			MaxDelayUs:    delayMax / float64(netsim.Microsecond),
 		})
 	}
 	return res

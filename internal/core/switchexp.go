@@ -116,15 +116,24 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 // as its Gen emits it. Fabric.InjectStreams injects them in the order a
 // stable time sort of their concatenation would give. Host h's trace is
 // seeded Seed ^ salt ^ h<<8; each experiment passes its own salt.
+// One Trace, reset for each host, generates every stream, so the hosts
+// share one engine and its queues.
 func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params, salt uint64) [][]packet.Header {
 	var streams [][]packet.Header
+	var hdrs []packet.Header
+	collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
+	var tr *services.Trace
 	for _, rack := range racks {
 		rk := &s.Topo.Racks[rack]
 		for i := 0; i < int(rk.NumHosts); i++ {
 			h := rk.Host(i)
-			var hdrs []packet.Header
-			collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
-			services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect).Run(dur)
+			hdrs = nil
+			if seed := s.Cfg.Seed ^ salt ^ uint64(h)<<8; tr == nil {
+				tr = services.NewTrace(s.Pick, h, seed, params, collect)
+			} else {
+				tr.Reset(h, seed, collect)
+			}
+			tr.Run(dur)
 			streams = append(streams, hdrs)
 		}
 	}

@@ -22,17 +22,21 @@ const (
 	Second      Time = 1_000_000_000
 )
 
-type event struct {
-	at  Time
-	seq uint64 // tie-break so same-time events run FIFO, deterministically
-	fn  func()
+// Event is one typed event: Kind says what it does, A is usually an
+// index into the handler's tables and B an argument. Kinds from
+// kindTick up are the engine's own.
+type Event struct {
+	Kind uint8
+	A    int32
+	B    int64
 }
 
-// before reports whether e should run before o: earlier time first,
-// FIFO by sequence number on ties.
-func (e event) before(o event) bool {
-	return keyBefore(e.at, e.seq, o.at, o.seq)
-}
+// The engine's own kinds: a periodic tick (A is its slot in tickers)
+// and an At closure (A is its slot in fns).
+const (
+	kindTick uint8 = 254
+	kindFunc uint8 = 255
+)
 
 // keyBefore orders two events by (time, sequence number).
 func keyBefore(at Time, seq uint64, oat Time, oseq uint64) bool {
@@ -42,350 +46,37 @@ func keyBefore(at Time, seq uint64, oat Time, oseq uint64) bool {
 	return seq < oseq
 }
 
-// Engine is a deterministic discrete-event scheduler. The zero value is
-// ready to use.
-//
-// Events live in four kinds of queue, and every event takes its global
-// sequence number when it is scheduled, whatever queue holds it:
-//
-//   - Closure events (At, After) scheduled no earlier than the newest
-//     event of the closure FIFO run go to the back of that run; any
-//     other goes into a typed binary min-heap with inlined sift-up and
-//     sift-down.
-//   - Header events (AfterHeader) go into a pointer-free min-heap of
-//     {seq, packet.Header} entries, the header's Time holding the event
-//     time. All of them run the engine's one header handler
-//     (SetHeaderHandler), so a trace generator schedules a packet
-//     without a closure.
-//   - Packet events go to typed runs: each switch port owns a run of its
-//     departures and a run of its arrivals at the peer, and each
-//     Fabric.InjectSorted call is one run of header injections. A run's
-//     (time, seq) keys only grow, so a run is a plain FIFO; a heap
-//     over the runs' head events (one entry per non-empty run) finds the
-//     earliest.
-//
-// Dispatch takes the earliest of the four heads by (time, seq). Each
-// queue is sorted by that key, so the merge is exactly the order one
-// heap over every event would give. The closure heap holds only closures
-// scheduled out of order, the run heap one entry per non-empty run (a
-// port's whole backlog is one entry), and neither a generated header nor
-// a packet hop costs a closure or an allocation. Scheduling and dispatch
-// are the simulator's hottest path, and the container/heap API would box
-// every event through interface{} (two heap allocations per event, one
-// on Push and one on Pop).
-type Engine struct {
-	now      Time
-	seq      uint64
-	heap     []event
-	fifo     []event
-	fifoHead int                 // fifo[:fifoHead] is dispatched
-	hdrs     []hdrEvent          // min-heap of header events
-	onHeader func(packet.Header) // runs every header event
-	heads    []runHead           // min-heap of the non-empty typed runs by head key
-	vacant   bool                // heads[0] is a run emptied by the event in dispatch
-	typed    int                 // queued typed events across all runs
-	free     []*Packet           // disposed packets, reused by newPacket
-}
-
-// Now returns the current simulation time.
-func (e *Engine) Now() Time { return e.now }
-
-// At schedules fn to run at time t. Scheduling in the past runs fn at the
-// current time (immediately in event order).
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn}
-	if n := len(e.fifo); n == e.fifoHead || t >= e.fifo[n-1].at {
-		e.fifo = append(e.fifo, ev)
-		return
-	}
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// siftUp restores the heap property after appending at index i.
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	ev := h[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ev.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-}
-
-// pop removes and returns the earliest closure heap event. The heap
-// must be non-empty.
-func (e *Engine) pop() event {
-	h := e.heap
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // drop the fn reference so the closure can be collected
-	e.heap = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && h[r].before(h[c]) {
-				c = r
-			}
-			if !h[c].before(last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	return root
-}
-
-// hdrEvent is one header event. h.Time is its event time.
-type hdrEvent struct {
-	seq uint64
-	h   packet.Header
-}
-
-// SetHeaderHandler installs fn as the engine's header handler: every
-// header event scheduled by AfterHeader runs fn with its header. An
-// engine has one handler, set once before the first AfterHeader.
-func (e *Engine) SetHeaderHandler(fn func(packet.Header)) {
-	if e.onHeader != nil {
-		panic("netsim: header handler already set")
-	}
-	e.onHeader = fn
-}
-
-// AfterHeader schedules the header handler to run with h, its Time set
-// to the event time, d after the current time. It takes a sequence
-// number and clamps a past time to now exactly as At does, so it
-// dispatches where After(d, func() { handler(h) }) would, without the
-// closure.
-func (e *Engine) AfterHeader(d Time, h packet.Header) {
-	if e.onHeader == nil {
-		panic("netsim: AfterHeader without a header handler")
-	}
-	t := e.now + d
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	h.Time = t
-	e.hdrs = append(e.hdrs, hdrEvent{seq: e.seq, h: h})
-	hs := e.hdrs
-	i := len(hs) - 1
-	x := hs[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !keyBefore(x.h.Time, x.seq, hs[p].h.Time, hs[p].seq) {
-			break
-		}
-		hs[i] = hs[p]
-		i = p
-	}
-	hs[i] = x
-}
-
-// popHeader removes and returns the earliest header event's header. The
-// header heap must be non-empty.
-func (e *Engine) popHeader() packet.Header {
-	hs := e.hdrs
-	root := hs[0].h
-	n := len(hs) - 1
-	last := hs[n]
-	e.hdrs = hs[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && keyBefore(hs[r].h.Time, hs[r].seq, hs[c].h.Time, hs[c].seq) {
-				c = r
-			}
-			if !keyBefore(hs[c].h.Time, hs[c].seq, last.h.Time, last.seq) {
-				break
-			}
-			hs[i] = hs[c]
-			i = c
-		}
-		hs[i] = last
-	}
-	return root
-}
-
-// Event sources, as earliest reports them.
-const (
-	srcNone = iota
-	srcFIFO
-	srcHeap
-	srcHeader
-	srcRun
-)
-
-// earliest returns the queue whose head event runs next and that
-// event's time; src is srcNone when every queue is empty. Keys are
-// unique, so the minimum is too.
-func (e *Engine) earliest() (src int, at Time) {
-	var seq uint64
-	if e.fifoHead < len(e.fifo) {
-		c := &e.fifo[e.fifoHead]
-		src, at, seq = srcFIFO, c.at, c.seq
-	}
-	if len(e.heap) > 0 {
-		if c := &e.heap[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
-			src, at, seq = srcHeap, c.at, c.seq
-		}
-	}
-	if len(e.hdrs) > 0 {
-		if c := &e.hdrs[0]; src == srcNone || keyBefore(c.h.Time, c.seq, at, seq) {
-			src, at, seq = srcHeader, c.h.Time, c.seq
-		}
-	}
-	if len(e.heads) > 0 {
-		if c := &e.heads[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
-			src, at = srcRun, c.at
-		}
-	}
-	return src, at
-}
-
-// Run executes events in time order until the queue is empty or the next
-// event is later than until. It returns the number of events executed,
-// closure, header and typed alike.
-func (e *Engine) Run(until Time) int {
-	n := 0
-	for {
-		src, at := e.earliest()
-		if src == srcNone || at > until {
-			break
-		}
-		e.now = at
-		switch src {
-		case srcRun:
-			e.typed--
-			e.heads[0].r.fire(e)
-			if e.vacant {
-				e.vacant = false
-				e.removeTop()
-			}
-		case srcHeader:
-			e.onHeader(e.popHeader())
-		case srcFIFO:
-			r := &e.fifo[e.fifoHead]
-			fn := r.fn
-			*r = event{} // drop the fn reference so the closure can be collected
-			e.fifoHead++
-			if e.fifoHead == len(e.fifo) {
-				e.fifo, e.fifoHead = e.fifo[:0], 0
-			}
-			fn()
-		default:
-			e.pop().fn()
-		}
-		n++
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return n
-}
-
-// Pending returns the number of queued events, closure, header and
-// typed alike.
-func (e *Engine) Pending() int {
-	return len(e.heap) + len(e.fifo) - e.fifoHead + len(e.hdrs) + e.typed
-}
-
-// eventRun is a FIFO run of typed events whose (time, seq) keys only
-// grow. The engine holds one runHead per non-empty run.
-type eventRun interface {
-	// fire dispatches the run's head event. The engine clock already
-	// reads its time. fire first removes the event and calls the
-	// engine's rekeyTop or dropTop for the run's entry, which is the
-	// heap root, and only then handles the event, so that handlers may
-	// schedule onto any run, this one included.
-	fire(e *Engine)
-}
-
-// runHead is a run's entry in the engine's run heap, keyed by the run's
-// head event.
-type runHead struct {
+// entry is one queued event: its key and what it runs.
+type entry[P any] struct {
 	at  Time
-	seq uint64
-	r   eventRun
+	seq uint64 // tie-break so same-time events run FIFO, deterministically
+	p   P
 }
 
-// pushRun adds a run whose head event has key (at, seq) to the heap.
-// A vacant root takes it in one sift down: a hop's next event usually
-// lands near the front of the heap, so that sift is short.
-func (e *Engine) pushRun(at Time, seq uint64, r eventRun) {
-	if e.vacant {
-		e.vacant = false
-		e.siftDownRuns(runHead{at: at, seq: seq, r: r})
-		return
-	}
-	e.heads = append(e.heads, runHead{at: at, seq: seq, r: r})
-	h := e.heads
-	i := len(h) - 1
-	x := h[i]
+// eventHeap is a binary min-heap of entries by (at, seq), typed and
+// with inlined sifts: the container/heap API would box every event
+// through interface{} (two allocations per event, on Push and on Pop).
+type eventHeap[P any] []entry[P]
+
+// push adds x.
+func (h *eventHeap[P]) push(x entry[P]) {
+	*h = append(*h, x)
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !keyBefore(x.at, x.seq, h[p].at, h[p].seq) {
+		if !keyBefore(x.at, x.seq, s[p].at, s[p].seq) {
 			break
 		}
-		h[i] = h[p]
+		s[i] = s[p]
 		i = p
 	}
-	h[i] = x
+	s[i] = x
 }
 
-// rekeyTop sets the root run's key to its new head event's and restores
-// the heap. The key only grows, so the root sifts down.
-func (e *Engine) rekeyTop(at Time, seq uint64) {
-	x := e.heads[0]
-	x.at, x.seq = at, seq
-	e.siftDownRuns(x)
-}
-
-// dropTop marks the root run, which has no events left, vacant: the
-// next pushRun during the same dispatch replaces it, and Run removes it
-// if none does. Until then the root keeps the dispatched event's key,
-// which precedes every queued event's, so the heap order holds.
-func (e *Engine) dropTop() { e.vacant = true }
-
-// removeTop removes the root run.
-func (e *Engine) removeTop() {
-	h := e.heads
-	n := len(h) - 1
-	last := h[n]
-	h[n] = runHead{}
-	e.heads = h[:n]
-	if n > 0 {
-		e.siftDownRuns(last)
-	}
-}
-
-// siftDownRuns places x, which replaces the root, in the run heap.
-func (e *Engine) siftDownRuns(x runHead) {
-	h := e.heads
-	n := len(h)
-	i := 0
+// siftDown places x, which replaces the root, in the heap.
+func (h eventHeap[P]) siftDown(x entry[P]) {
+	n, i := len(h), 0
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -402,6 +93,296 @@ func (e *Engine) siftDownRuns(x runHead) {
 	}
 	h[i] = x
 }
+
+// pop removes the root and returns its payload. The heap must be
+// non-empty.
+func (h *eventHeap[P]) pop() P {
+	s := *h
+	root := s[0].p
+	n := len(s) - 1
+	last := s[n]
+	s[n] = entry[P]{} // drop references the payload holds
+	*h = s[:n]
+	if n > 0 {
+		s[:n].siftDown(last)
+	}
+	return root
+}
+
+// ticker is a periodic event: fn runs every interval while the next run
+// would be no later than until.
+type ticker struct {
+	interval, until Time
+	fn              func()
+}
+
+// Engine is a deterministic discrete-event scheduler. The zero value is
+// ready to use.
+//
+// Events live in three queues, each an eventHeap, and every event takes
+// its global sequence number when it is scheduled, whatever queue holds
+// it:
+//
+//   - Typed events (AfterEvent), pointer-free {time, seq, Event} entries,
+//     run the engine's one event handler (SetEventHandler), except the
+//     engine's own kinds: an At closure, which waits in a slot of a slab
+//     of funcs that its event names by index, and a periodic tick
+//     (SampleOccupancy, queue sampling), which names its ticker the
+//     same way.
+//   - Header events (AfterHeader), pointer-free {time, seq, Header}
+//     entries, run the engine's one header handler (SetHeaderHandler),
+//     so a trace generator schedules a packet without a closure.
+//   - Packet events go to typed runs: each switch port owns a run of its
+//     departures and a run of its arrivals at the peer, and each
+//     Fabric.InjectSorted call is one run of header events. A run's
+//     (time, seq) keys only grow, so a run is a plain FIFO; the run heap
+//     holds one entry per non-empty run, keyed by its head event.
+//
+// Dispatch takes the earliest of the three heads by (time, seq), which
+// is exactly the order one heap over every event would give. No queue
+// holds a func, and neither a model's step, a generated header nor a
+// packet hop costs a closure or an allocation. Reset empties the engine
+// for reuse and keeps the queues' storage.
+type Engine struct {
+	now      Time
+	seq      uint64
+	evs      eventHeap[Event]
+	onEvent  func(Event) // runs every typed event of a handler kind
+	fns      []func()    // At closures by slot
+	freeFns  []int32     // free slots of fns
+	tickers  []ticker    // tickers by slot
+	freeTick []int32     // free slots of tickers
+	hdrs     eventHeap[packet.Header]
+	onHeader func(packet.Header) // runs every header event
+	heads    eventHeap[eventRun] // the non-empty typed runs by head key
+	vacant   bool                // heads[0] is a run emptied by the event in dispatch
+	typed    int                 // queued typed events across all runs
+	pool     []*Packet           // disposed packets, reused by newPacket
+}
+
+// Now returns the current simulation time.
+func (e *Engine) Now() Time { return e.now }
+
+// SetEventHandler installs fn as the engine's event handler: every event
+// scheduled by AfterEvent runs fn with its Event. An engine has one
+// handler, set once before the first AfterEvent.
+func (e *Engine) SetEventHandler(fn func(Event)) {
+	if e.onEvent != nil {
+		panic("netsim: event handler already set")
+	}
+	e.onEvent = fn
+}
+
+// AfterEvent schedules the event handler to run with ev d after the
+// current time. It takes a sequence number and clamps a past time to
+// now exactly as At does.
+func (e *Engine) AfterEvent(d Time, ev Event) {
+	if e.onEvent == nil || ev.Kind >= kindTick {
+		panic("netsim: AfterEvent without a handler or with an engine kind")
+	}
+	e.push(e.now+d, ev)
+}
+
+// At schedules fn to run at time t. Scheduling in the past runs fn at the
+// current time (immediately in event order). It exists for callers
+// outside the models, such as benchmarks and tests that drive an engine
+// by hand: fn waits in a slot of a slab and the queued event names the
+// slot.
+func (e *Engine) At(t Time, fn func()) {
+	e.push(t, Event{Kind: kindFunc, A: slot(&e.fns, &e.freeFns, fn)})
+}
+
+// every runs fn every interval, from one interval after now, while the
+// next run would be no later than until: the first run is scheduled
+// whatever until says, and each run schedules the next after fn returns.
+func (e *Engine) every(interval, until Time, fn func()) {
+	tk := ticker{interval: interval, until: until, fn: fn}
+	e.push(e.now+interval, Event{Kind: kindTick, A: slot(&e.tickers, &e.freeTick, tk)})
+}
+
+// slot stores x in a free slot of slab, or a new one, and returns it.
+func slot[T any](slab *[]T, free *[]int32, x T) int32 {
+	if n := len(*free); n > 0 {
+		i := (*free)[n-1]
+		*free = (*free)[:n-1]
+		(*slab)[i] = x
+		return i
+	}
+	*slab = append(*slab, x)
+	return int32(len(*slab) - 1)
+}
+
+// push queues ev at time t, clamped to now, with the next sequence
+// number.
+func (e *Engine) push(t Time, ev Event) {
+	e.seq++
+	e.evs.push(entry[Event]{at: max(t, e.now), seq: e.seq, p: ev})
+}
+
+// dispatch runs one typed event. An engine kind frees its slot before
+// running, so the run may reuse it.
+func (e *Engine) dispatch(ev Event) {
+	switch ev.Kind {
+	case kindFunc:
+		fn := e.fns[ev.A]
+		e.fns[ev.A] = nil // drop the reference so the closure can be collected
+		e.freeFns = append(e.freeFns, ev.A)
+		fn()
+	case kindTick:
+		tk := e.tickers[ev.A]
+		tk.fn()
+		if e.now+tk.interval <= tk.until {
+			e.push(e.now+tk.interval, ev)
+			return
+		}
+		e.tickers[ev.A] = ticker{}
+		e.freeTick = append(e.freeTick, ev.A)
+	default:
+		e.onEvent(ev)
+	}
+}
+
+// Reset empties every queue and rewinds the clock and the sequence
+// numbers to zero, keeping the queues' storage and the handlers, so one
+// engine serves many runs without regrowing its heaps. It panics while
+// packet events are queued: their runs belong to switch ports.
+func (e *Engine) Reset() {
+	if len(e.heads) > 0 {
+		panic("netsim: Reset with queued packet events")
+	}
+	clear(e.fns)
+	clear(e.tickers)
+	e.now, e.seq = 0, 0
+	e.evs, e.hdrs = e.evs[:0], e.hdrs[:0]
+	e.fns, e.tickers = e.fns[:0], e.tickers[:0]
+	e.freeFns, e.freeTick = e.freeFns[:0], e.freeTick[:0]
+}
+
+// SetHeaderHandler installs fn as the engine's header handler: every
+// header event scheduled by AfterHeader runs fn with its header. An
+// engine has one handler, set once before the first AfterHeader.
+func (e *Engine) SetHeaderHandler(fn func(packet.Header)) {
+	if e.onHeader != nil {
+		panic("netsim: header handler already set")
+	}
+	e.onHeader = fn
+}
+
+// AfterHeader schedules the header handler to run with h, its Time set
+// to the event time, d after the current time. It takes a sequence
+// number and clamps a past time to now exactly as At does.
+func (e *Engine) AfterHeader(d Time, h packet.Header) {
+	if e.onHeader == nil {
+		panic("netsim: AfterHeader without a header handler")
+	}
+	e.seq++
+	h.Time = max(e.now+d, e.now)
+	e.hdrs.push(entry[packet.Header]{at: h.Time, seq: e.seq, p: h})
+}
+
+// Event sources, as earliest reports them.
+const (
+	srcNone = iota
+	srcEvent
+	srcHeader
+	srcRun
+)
+
+// earliest returns the queue whose head event runs next and that
+// event's time; src is srcNone when every queue is empty. Keys are
+// unique, so the minimum is too.
+func (e *Engine) earliest() (src int, at Time) {
+	var seq uint64
+	if len(e.evs) > 0 {
+		src, at, seq = srcEvent, e.evs[0].at, e.evs[0].seq
+	}
+	if len(e.hdrs) > 0 {
+		if c := &e.hdrs[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
+			src, at, seq = srcHeader, c.at, c.seq
+		}
+	}
+	if len(e.heads) > 0 {
+		if c := &e.heads[0]; src == srcNone || keyBefore(c.at, c.seq, at, seq) {
+			src, at = srcRun, c.at
+		}
+	}
+	return src, at
+}
+
+// Run executes events in time order until the queue is empty or the next
+// event is later than until. It returns the number of events executed,
+// of every kind.
+func (e *Engine) Run(until Time) int {
+	n := 0
+	for {
+		src, at := e.earliest()
+		if src == srcNone || at > until {
+			break
+		}
+		e.now = at
+		switch src {
+		case srcRun:
+			e.typed--
+			e.heads[0].p.fire(e)
+			if e.vacant {
+				e.vacant = false
+				e.heads.pop()
+			}
+		case srcHeader:
+			e.onHeader(e.hdrs.pop())
+		default:
+			e.dispatch(e.evs.pop())
+		}
+		n++
+	}
+	if e.now < until {
+		e.now = until
+	}
+	return n
+}
+
+// Pending returns the number of queued events of every kind.
+func (e *Engine) Pending() int {
+	return len(e.evs) + len(e.hdrs) + e.typed
+}
+
+// eventRun is a FIFO run of typed events whose (time, seq) keys only
+// grow. The engine holds one run heap entry per non-empty run.
+type eventRun interface {
+	// fire dispatches the run's head event. The engine clock already
+	// reads its time. fire first removes the event and calls the
+	// engine's rekeyTop or dropTop for the run's entry, which is the
+	// heap root, and only then handles the event, so that handlers may
+	// schedule onto any run, this one included.
+	fire(e *Engine)
+}
+
+// pushRun adds a run whose head event has key (at, seq) to the heap.
+// A vacant root takes it in one sift down: a hop's next event usually
+// lands near the front of the heap, so that sift is short.
+func (e *Engine) pushRun(at Time, seq uint64, r eventRun) {
+	x := entry[eventRun]{at: at, seq: seq, p: r}
+	if e.vacant {
+		e.vacant = false
+		e.heads.siftDown(x)
+		return
+	}
+	e.heads.push(x)
+}
+
+// rekeyTop sets the root run's key to its new head event's and restores
+// the heap. The key only grows, so the root sifts down.
+func (e *Engine) rekeyTop(at Time, seq uint64) {
+	x := e.heads[0]
+	x.at, x.seq = at, seq
+	e.heads.siftDown(x)
+}
+
+// dropTop marks the root run, which has no events left, vacant: the
+// next pushRun during the same dispatch replaces it, and Run removes it
+// if none does. Until then the root keeps the dispatched event's key,
+// which precedes every queued event's, so the heap order holds.
+func (e *Engine) dropTop() { e.vacant = true }
 
 // pktEvent is one typed packet event: a departure from a port or an
 // arrival at its peer.
@@ -455,25 +436,19 @@ func (q *pktRun) take(e *Engine) *Packet {
 	return p
 }
 
-// sortedRun dispatches fn over a time-sorted header slice: header i is
-// one typed event at max(hdrs[i].Time+offset, floor) with sequence
-// number seq0+i. fn receives the header with offset added to its Time.
+// sortedRun is a run of header events over a time-sorted header slice:
+// header i, its Time shifted by offset, runs the engine's header handler
+// at max(hdrs[i].Time+offset, floor) with sequence number seq0+i.
 type sortedRun struct {
 	hdrs   []packet.Header
 	offset Time
-	floor  Time   // engine time when scheduled: At clamps earlier times to it
+	floor  Time   // engine time when scheduled: earlier times clamp to it
 	seq0   uint64 // sequence number of hdrs[0]
 	next   int
-	fn     func(packet.Header)
 }
 
 // at returns header i's event time.
-func (r *sortedRun) at(i int) Time {
-	if t := r.hdrs[i].Time + r.offset; t > r.floor {
-		return t
-	}
-	return r.floor
-}
+func (r *sortedRun) at(i int) Time { return max(r.hdrs[i].Time+r.offset, r.floor) }
 
 func (r *sortedRun) fire(e *Engine) {
 	h := r.hdrs[r.next]
@@ -484,15 +459,15 @@ func (r *sortedRun) fire(e *Engine) {
 	} else {
 		e.rekeyTop(r.at(r.next), r.seq0+uint64(r.next))
 	}
-	r.fn(h)
+	e.onHeader(h)
 }
 
-// atSorted schedules fn(h), with h.Time shifted by offset, for every
-// header of hdrs at h.Time: the same events, with the same sequence
-// numbers, as one At call per header in slice order, but held as one
-// typed run instead of a closure each. hdrs must be sorted by Time; it
-// is read as the run dispatches and never written.
-func (e *Engine) atSorted(hdrs []packet.Header, offset Time, fn func(packet.Header)) {
+// atSorted schedules a header event for every header of hdrs, with
+// h.Time shifted by offset, at h.Time: the same events, with the same
+// sequence numbers, as one AfterHeader call per header in slice order,
+// but held as one typed run. hdrs must be sorted by Time; it is read as
+// the run dispatches and never written.
+func (e *Engine) atSorted(hdrs []packet.Header, offset Time) {
 	if len(hdrs) == 0 {
 		return
 	}
@@ -501,8 +476,8 @@ func (e *Engine) atSorted(hdrs []packet.Header, offset Time, fn func(packet.Head
 			panic("netsim: headers not sorted by time")
 		}
 	}
-	// Reserve one sequence number per header, as len(hdrs) At calls would.
-	r := &sortedRun{hdrs: hdrs, offset: offset, floor: e.now, seq0: e.seq + 1, fn: fn}
+	// Reserve one sequence number per header, as len(hdrs) calls would.
+	r := &sortedRun{hdrs: hdrs, offset: offset, floor: e.now, seq0: e.seq + 1}
 	e.seq += uint64(len(hdrs))
 	e.typed += len(hdrs)
 	e.pushRun(r.at(0), r.seq0, r)
@@ -511,9 +486,9 @@ func (e *Engine) atSorted(hdrs []packet.Header, offset Time, fn func(packet.Head
 // newPacket returns a zeroed packet from the engine's free list, or a
 // new one.
 func (e *Engine) newPacket() *Packet {
-	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
-		e.free = e.free[:n-1]
+	if n := len(e.pool); n > 0 {
+		p := e.pool[n-1]
+		e.pool = e.pool[:n-1]
 		return p
 	}
 	return new(Packet)
@@ -523,5 +498,5 @@ func (e *Engine) newPacket() *Packet {
 // hold p afterwards (see Packet).
 func (e *Engine) freePacket(p *Packet) {
 	*p = Packet{}
-	e.free = append(e.free, p)
+	e.pool = append(e.pool, p)
 }

@@ -41,7 +41,7 @@ func TestEngineHeapStress(t *testing.T) {
 	// Events scheduled from inside a handler land after already-queued
 	// same-time events.
 	e.At(5, func() {
-		e.After(0, func() { got = append(got, stamp{at: e.Now(), id: -1, ins: 1 << 30}) })
+		e.At(e.Now(), func() { got = append(got, stamp{at: e.Now(), id: -1, ins: 1 << 30}) })
 	})
 	want = append(want, stamp{at: 5, id: -1, ins: 1 << 30})
 
@@ -66,13 +66,21 @@ func TestEngineHeapStress(t *testing.T) {
 
 // refEngine is the dispatch contract spelled out: run the queued event
 // with the smallest (time, scheduling order), found by a linear scan.
-// Header, typed and sorted-header events are plain closures to it: each
-// takes its place in that order when it is scheduled.
+// Typed, ticker, header, packet-run and sorted-header events are plain
+// closures to it: each takes its place in that order when it is
+// scheduled.
 type refEngine struct {
 	now      Time
 	seq      uint64
-	q        []event
+	q        []refEvent
+	onEvent  func(Event)
 	onHeader func(packet.Header)
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 func (r *refEngine) Now() Time { return r.now }
@@ -82,7 +90,24 @@ func (r *refEngine) At(t Time, fn func()) {
 		t = r.now
 	}
 	r.seq++
-	r.q = append(r.q, event{at: t, seq: r.seq, fn: fn})
+	r.q = append(r.q, refEvent{at: t, seq: r.seq, fn: fn})
+}
+
+func (r *refEngine) SetEventHandler(fn func(Event)) { r.onEvent = fn }
+
+func (r *refEngine) AfterEvent(d Time, ev Event) {
+	r.At(r.now+d, func() { r.onEvent(ev) })
+}
+
+func (r *refEngine) Every(interval, until Time, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if r.now+interval <= until {
+			r.At(r.now+interval, tick)
+		}
+	}
+	r.At(r.now+interval, tick)
 }
 
 func (r *refEngine) SetHeaderHandler(fn func(packet.Header)) { r.onHeader = fn }
@@ -94,10 +119,10 @@ func (r *refEngine) AfterHeader(d Time, h packet.Header) {
 
 func (r *refEngine) Typed(_ int, t Time, fn func()) { r.At(t, fn) }
 
-func (r *refEngine) Sorted(hdrs []packet.Header, offset Time, fn func(packet.Header)) {
+func (r *refEngine) Sorted(hdrs []packet.Header, offset Time) {
 	for _, h := range hdrs {
 		h.Time += offset
-		r.At(h.Time, func() { fn(h) })
+		r.At(h.Time, func() { r.onHeader(h) })
 	}
 }
 
@@ -108,7 +133,7 @@ func (r *refEngine) Run(until Time) int {
 	for len(r.q) > 0 {
 		m := 0
 		for i := range r.q {
-			if r.q[i].before(r.q[m]) {
+			if keyBefore(r.q[i].at, r.q[i].seq, r.q[m].at, r.q[m].seq) {
 				m = i
 			}
 		}
@@ -154,29 +179,35 @@ func (t *typedEngine) Typed(k int, at Time, fn func()) {
 	r.push(t.Engine, r, at, &Packet{})
 }
 
-func (t *typedEngine) Sorted(hdrs []packet.Header, offset Time, fn func(packet.Header)) {
-	t.atSorted(hdrs, offset, fn)
+func (t *typedEngine) Every(interval, until Time, fn func()) { t.every(interval, until, fn) }
+
+func (t *typedEngine) Sorted(hdrs []packet.Header, offset Time) {
+	t.atSorted(hdrs, offset)
 }
 
-// TestEngineRunQueueOrder checks that the closure FIFO run, the closure
-// heap, the header heap, many typed runs and sorted-header runs together
-// dispatch in exactly the reference order. The program mixes an
-// ascending up-front schedule (which fills the FIFO run), out-of-order
-// and past-time inserts (which go to the closure heap), header events
-// (some with negative delays, clamped to now), typed pushes onto 16 runs
+// TestEngineRunQueueOrder checks that the typed event heap (handler
+// events, At closures and tickers), the header heap, many typed runs and
+// sorted-header runs together dispatch in exactly the reference order.
+// The program mixes ascending, out-of-order and past-time inserts of At
+// closures and handler events, header events (some with negative
+// delays, clamped to now), periodic tickers, typed pushes onto 16 runs
 // and sorted header batches, some of them partly in the past. Coarse
-// delays force same-time ties across all four sources; handlers schedule
+// delays force same-time ties across every source; handlers schedule
 // more events of every kind, and Run calls stop mid-queue. The log also
-// records Pending, every header event's time and every sorted header's
-// shifted time, and no sorted batch may be written to.
+// records Pending, every handler event's operands, every header event's
+// time and every sorted header's shifted time, and no sorted batch may
+// be written to.
 func TestEngineRunQueueOrder(t *testing.T) {
 	type scheduler interface {
 		Now() Time
 		At(Time, func())
+		SetEventHandler(func(Event))
+		AfterEvent(Time, Event)
+		Every(interval, until Time, fn func())
 		SetHeaderHandler(func(packet.Header))
 		AfterHeader(Time, packet.Header)
 		Typed(int, Time, func())
-		Sorted([]packet.Header, Time, func(packet.Header))
+		Sorted([]packet.Header, Time)
 		Run(Time) int
 		Pending() int
 	}
@@ -205,6 +236,20 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			log = append(log, h.Time)
 			handle(Time(h.Size), int(h.Key.SrcPort))
 		})
+		// A handler event carries its id in A and its depth in B.
+		s.SetEventHandler(func(ev Event) {
+			log = append(log, Time(ev.Kind), s.Now())
+			handle(Time(ev.A), int(ev.B))
+		})
+		event := func(at Time, depth int) {
+			s.AfterEvent(at-s.Now(), Event{Kind: uint8(id % 7), A: int32(id), B: int64(depth)})
+			id++
+		}
+		ticker := func(depth int) {
+			me := Time(id)
+			id++
+			s.Every(Time(1+r.Intn(3))*10, s.Now()+Time(r.Intn(120)), func() { handle(me, depth) })
+		}
 		header := func(at Time, depth int) {
 			h := packet.Header{Time: -7, Size: uint32(id), Key: packet.FlowKey{SrcPort: uint16(depth)}}
 			id++
@@ -223,23 +268,29 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			for i := range hdrs {
 				hdrs[i].Time = tm
 				hdrs[i].Size = uint32(id)
+				hdrs[i].Key.SrcPort = uint16(depth)
 				id++
 				tm += Time(r.Intn(3) * 10)
 			}
 			batches = append(batches, batch{hdrs, append([]packet.Header(nil), hdrs...)})
-			s.Sorted(hdrs, at-20, func(h packet.Header) {
-				log = append(log, h.Time)
-				handle(Time(h.Size), depth)
-			})
+			s.Sorted(hdrs, at-20) // runs the header handler
 		}
 		spawn = func(at Time, depth int) {
-			switch r.Intn(7) {
+			switch r.Intn(10) {
 			case 0, 1:
 				closure(at, depth)
 			case 2, 3:
 				typed(r.Intn(nRuns), at, depth)
 			case 4, 5:
 				header(at, depth)
+			case 6, 7:
+				event(at, depth)
+			case 8:
+				if depth < 2 {
+					ticker(depth + 2) // its runs spawn little
+				} else {
+					event(at, depth)
+				}
 			default:
 				if depth < 2 { // a batch fans out: keep the program small
 					sorted(at, depth)
@@ -249,13 +300,16 @@ func TestEngineRunQueueOrder(t *testing.T) {
 			}
 		}
 		for i := 0; i < 400; i++ {
-			switch r.Intn(8) {
-			case 0, 1:
+			switch r.Intn(10) {
+			case 0:
 				closure(Time(i), 0) // ascending, with ties below
+			case 1:
+				event(Time(i), 0)
 			case 2:
 				closure(Time(i), 0)
 				typed(r.Intn(nRuns), Time(i), 0)
 				header(Time(i), 0)
+				event(Time(i), 0)
 			case 3:
 				closure(Time(r.Intn(600)), 0) // anywhere
 			case 4:
@@ -264,6 +318,10 @@ func TestEngineRunQueueOrder(t *testing.T) {
 				header(Time(r.Intn(600)), 0) // anywhere
 			case 6:
 				header(Time(i+r.Intn(3)*10), 0)
+			case 7:
+				event(Time(r.Intn(600)), 0) // anywhere
+			case 8:
+				ticker(1)
 			default:
 				if r.Intn(8) == 0 {
 					sorted(Time(i), 0)
@@ -329,7 +387,6 @@ func TestEngineCountsTypedEvents(t *testing.T) {
 	if eng.Pending() != 0 || f.Sink(dst).Packets != 4 {
 		t.Fatalf("pending %d, delivered %d after drain", eng.Pending(), f.Sink(dst).Packets)
 	}
-	eng.SetHeaderHandler(f.Inject)
 	eng.AfterHeader(Millisecond, hdr)
 	eng.AfterHeader(-Millisecond, hdr) // clamped to now
 	if n := eng.Pending(); n != 2 {
@@ -340,5 +397,45 @@ func TestEngineCountsTypedEvents(t *testing.T) {
 	}
 	if eng.Pending() != 0 || f.Sink(dst).Packets != 6 {
 		t.Fatalf("pending %d, delivered %d after drain", eng.Pending(), f.Sink(dst).Packets)
+	}
+}
+
+// TestPeriodicQueuesStayBounded runs two same-period SampleOccupancy
+// tickers beside two same-period At chains for 10⁵ periods. Interleaved
+// periodic events always leave one queued behind the one in dispatch,
+// which once kept a closure FIFO from ever draining, so it kept every
+// dispatched tick for the whole run. Every queue's storage must stay
+// bounded by the handful of events pending at any time.
+func TestPeriodicQueuesStayBounded(t *testing.T) {
+	eng, f, _ := newTestFabric(t)
+	const periods, interval = 100_000, 10 * Microsecond
+	ticks := 0
+	for _, sw := range []*Switch{f.RSW(0), f.RSW(1)} {
+		SampleOccupancy(eng, sw, interval, periods*interval, func(Time, int64) { ticks++ })
+	}
+	for k := 0; k < 2; k++ {
+		var tick func()
+		tick = func() {
+			ticks++
+			if eng.Now() < periods*interval {
+				eng.At(eng.Now()+interval, tick)
+			}
+		}
+		eng.At(interval, tick)
+	}
+	if n := eng.Run(periods * interval); n != 4*periods || ticks != 4*periods {
+		t.Fatalf("ran %d events and %d ticks, want %d", n, ticks, 4*periods)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("%d events pending after the last period", eng.Pending())
+	}
+	if c := cap(eng.evs); c > 8 {
+		t.Errorf("event heap capacity %d for 4 pending events", c)
+	}
+	if c := cap(eng.fns); c > 4 {
+		t.Errorf("At slab capacity %d for 2 pending closures", c)
+	}
+	if c := cap(eng.tickers); c > 2 {
+		t.Errorf("ticker slab capacity %d for 2 tickers", c)
 	}
 }

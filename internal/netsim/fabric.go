@@ -113,6 +113,9 @@ type Fabric struct {
 	hostLinkDown []bool   // per host access link
 	faultsActive int
 	faults       FaultStats
+	faultElems   []topology.Element // elements named by fault events
+	retries      []packet.Header    // headers awaiting retransmission, by slot
+	freeRetries  []int32            // free slots of retries
 	// telem, when attached, samples flows for in-band path records and
 	// receives the per-port occupancy series (see AttachTelemetry).
 	telem *telemetry.Sink
@@ -123,7 +126,9 @@ type Fabric struct {
 	DisableReroute bool
 }
 
-// NewFabric builds and wires the full switch graph for topo.
+// NewFabric builds and wires the full switch graph for topo. It installs
+// the fabric's event handler (fault transitions, retransmissions) on eng,
+// and Inject as its header handler, so eng serves this fabric alone.
 func NewFabric(eng *Engine, topo *topology.Topology, cfg FabricConfig) *Fabric {
 	f := &Fabric{Eng: eng, Topo: topo, Cfg: cfg}
 	nRacks, nClusters, nDCs, nSites := len(topo.Racks), len(topo.Clusters), len(topo.Datacenters), len(topo.Sites)
@@ -133,7 +138,7 @@ func NewFabric(eng *Engine, topo *topology.Topology, cfg FabricConfig) *Fabric {
 	f.hostPort = make([]int, topo.NumHosts())
 	for i := range f.sinks {
 		f.sinks[i] = NewSink(fmt.Sprintf("host%d", i))
-		f.sinks[i].AttachEngine(eng)
+		f.sinks[i].eng = eng
 		f.hostUp[i] = &Link{RateBps: cfg.HostLinkBps, Delay: cfg.WireDelay}
 	}
 
@@ -250,6 +255,8 @@ func NewFabric(eng *Engine, topo *topology.Topology, cfg FabricConfig) *Fabric {
 	for _, sw := range f.allSwitches() {
 		sw.OnFaultDrop = f.handleFaultDrop
 	}
+	eng.SetEventHandler(f.handle)
+	eng.SetHeaderHandler(f.Inject)
 	return f
 }
 
@@ -311,19 +318,13 @@ func (f *Fabric) StartQueueSampling(interval, until Time) {
 		return
 	}
 	for _, sw := range f.allSwitches() {
-		sw := sw
 		os := f.telem.NewOccSeries(sw.telemID, len(sw.ports))
-		var tick func()
-		tick = func() {
+		f.Eng.every(interval, until, func() {
 			row := os.Extend(int64(f.Eng.Now()))
 			for pi, pt := range sw.ports {
 				row[pi] = pt.queued
 			}
-			if f.Eng.Now()+interval <= until {
-				f.Eng.After(interval, tick)
-			}
-		}
-		f.Eng.After(interval, tick)
+		})
 	}
 }
 
@@ -382,7 +383,7 @@ func (f *Fabric) Inject(hdr packet.Header) { f.inject(hdr, 0) }
 // so the caller may reuse it for another fabric. InjectStreams injects
 // several sorted streams without merging them.
 func (f *Fabric) InjectSorted(hdrs []packet.Header, offset Time) {
-	f.Eng.atSorted(hdrs, offset, f.Inject)
+	f.Eng.atSorted(hdrs, offset)
 }
 
 // InjectStreams injects several time-sorted streams, one InjectSorted
@@ -569,12 +570,5 @@ func (f *Fabric) LinksByTier(t Tier) []*Link {
 // (time, occupiedBytes) sample — the §6.3 collection at 10 µs
 // granularity.
 func SampleOccupancy(eng *Engine, sw *Switch, interval, until Time, fn func(t Time, occ int64)) {
-	var tick func()
-	tick = func() {
-		fn(eng.Now(), sw.Occupancy())
-		if eng.Now()+interval <= until {
-			eng.After(interval, tick)
-		}
-	}
-	eng.After(interval, tick)
+	eng.every(interval, until, func() { fn(eng.Now(), sw.Occupancy()) })
 }

@@ -163,17 +163,36 @@ func (f *Fabric) ApplyFaults(sched *FaultSchedule) {
 		return
 	}
 	for _, ev := range sched.Events {
-		elem := ev.Elem
-		f.Eng.At(ev.At, func() {
-			f.faults.FaultEvents++
-			f.SetElementDown(elem, true)
-		})
+		i := int32(len(f.faultElems))
+		f.faultElems = append(f.faultElems, ev.Elem)
+		f.Eng.AfterEvent(ev.At-f.Eng.Now(), Event{Kind: kindFaultDown, A: i})
 		if ev.RecoverAt > ev.At {
-			f.Eng.At(ev.RecoverAt, func() {
-				f.faults.Recoveries++
-				f.SetElementDown(elem, false)
-			})
+			f.Eng.AfterEvent(ev.RecoverAt-f.Eng.Now(), Event{Kind: kindFaultUp, A: i})
 		}
+	}
+}
+
+// The fabric's event kinds.
+const (
+	kindFaultDown uint8 = iota // fail faultElems[A]
+	kindFaultUp                // recover faultElems[A]
+	kindRetry                  // retransmit retries[A], attempt B
+)
+
+// handle is the fabric's event handler.
+func (f *Fabric) handle(ev Event) {
+	switch ev.Kind {
+	case kindFaultDown:
+		f.faults.FaultEvents++
+		f.SetElementDown(f.faultElems[ev.A], true)
+	case kindFaultUp:
+		f.faults.Recoveries++
+		f.SetElementDown(f.faultElems[ev.A], false)
+	case kindRetry:
+		hdr := f.retries[ev.A]
+		f.freeRetries = append(f.freeRetries, ev.A)
+		f.faults.Retransmits++
+		f.inject(hdr, uint8(ev.B))
 	}
 }
 
@@ -244,11 +263,8 @@ func (f *Fabric) scheduleRetry(hdr packet.Header, tries uint8) {
 		f.lose(hdr)
 		return
 	}
-	rto := RetransmitRTO << tries
-	f.Eng.After(rto, func() {
-		f.faults.Retransmits++
-		f.inject(hdr, tries+1)
-	})
+	i := slot(&f.retries, &f.freeRetries, hdr)
+	f.Eng.AfterEvent(RetransmitRTO<<tries, Event{Kind: kindRetry, A: i, B: int64(tries) + 1})
 }
 
 // lose records a packet abandoned by the retransmission budget.

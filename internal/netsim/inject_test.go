@@ -62,7 +62,7 @@ func TestInjectSortedMatchesPerHeaderAt(t *testing.T) {
 	orig := append([]packet.Header(nil), hdrs...)
 
 	run := func(sorted, noReroute bool) fabricOutcome {
-		return runTwoWindows(t, topo, noReroute, horizon*3/2, func(f *Fabric, offset Time) {
+		return runTwoWindows(t, topo, noReroute, false, horizon*3/2, func(f *Fabric, offset Time) {
 			if sorted {
 				f.InjectSorted(hdrs, offset)
 				return
@@ -97,8 +97,11 @@ const injectHorizon = 20 * Millisecond
 // (rerouting, fault drops of queued packets, retransmissions), telemetry
 // sampling of every flow, queue sampling and a delivery log per sink.
 // inject schedules one window shifted by offset: the first at 0, then,
-// after the engine has run to mid, the second at injectHorizon.
-func runTwoWindows(t *testing.T, topo *topology.Topology, noReroute bool, mid Time, inject func(f *Fabric, offset Time)) fabricOutcome {
+// after the engine has run to mid, the second at injectHorizon. With
+// closures the fault transitions, queue-sampling ticks and the
+// retransmissions of fault-dropped packets are closure events (see
+// closureFaults), not the fabric's typed events.
+func runTwoWindows(t *testing.T, topo *topology.Topology, noReroute, closures bool, mid Time, inject func(f *Fabric, offset Time)) fabricOutcome {
 	t.Helper()
 	const horizon = injectHorizon
 	eng := &Engine{}
@@ -113,7 +116,11 @@ func runTwoWindows(t *testing.T, topo *topology.Topology, noReroute bool, mid Ti
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.ApplyFaults(sched)
+		if closures {
+			closureFaults(f, sched)
+		} else {
+			f.ApplyFaults(sched)
+		}
 	}
 	out := fabricOutcome{deliveries: make([][]delivery, topo.NumHosts())}
 	for h := range out.deliveries {
@@ -122,7 +129,11 @@ func runTwoWindows(t *testing.T, topo *topology.Topology, noReroute bool, mid Ti
 			out.deliveries[h] = append(out.deliveries[h], delivery{eng.Now(), p.Hdr, p.Tries})
 		}
 	}
-	f.StartQueueSampling(100*Microsecond, 2*horizon)
+	if closures {
+		closureQueueSampling(f, 100*Microsecond, 2*horizon)
+	} else {
+		f.StartQueueSampling(100*Microsecond, 2*horizon)
+	}
 	inject(f, 0)
 	eng.Run(mid)
 	inject(f, horizon)
@@ -220,10 +231,10 @@ func TestInjectStreamsMatchesSortedConcat(t *testing.T) {
 	}
 	packet.SortByTime(concat)
 	for _, noReroute := range []bool{false, true} {
-		want := runTwoWindows(t, topo, noReroute, injectHorizon, func(f *Fabric, offset Time) {
+		want := runTwoWindows(t, topo, noReroute, false, injectHorizon, func(f *Fabric, offset Time) {
 			f.InjectSorted(concat, offset)
 		})
-		got := runTwoWindows(t, topo, noReroute, injectHorizon, func(f *Fabric, offset Time) {
+		got := runTwoWindows(t, topo, noReroute, false, injectHorizon, func(f *Fabric, offset Time) {
 			f.InjectStreams(streams, offset)
 		})
 		compareOutcomes(t, noReroute, got, want)

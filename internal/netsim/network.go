@@ -335,12 +335,9 @@ func deliver(n Node, p *Packet, port int) {
 // them; it stands in for the receiving host's NIC.
 type Sink struct {
 	name    string
-	eng     *Engine
+	eng     *Engine // a fabric's clock: stamps records and batches at delivery
 	Packets int64
 	Bytes   int64
-	// Delay accumulates per-packet network delay (delivery time minus
-	// the header's injection timestamp) when an engine is attached.
-	Delay Moments
 	// OnPacket, if set, is invoked for each delivered packet. It must not
 	// keep p after it returns (see Packet).
 	OnPacket func(p *Packet)
@@ -362,9 +359,6 @@ type Sink struct {
 // NewSink creates a named sink.
 func NewSink(name string) *Sink { return &Sink{name: name} }
 
-// AttachEngine enables delay accounting against the engine's clock.
-func (s *Sink) AttachEngine(e *Engine) { s.eng = e }
-
 // Name implements Node.
 func (s *Sink) Name() string { return s.name }
 
@@ -373,9 +367,6 @@ func (s *Sink) Name() string { return s.name }
 func (s *Sink) Receive(p *Packet, _ int) {
 	s.Packets++
 	s.Bytes += int64(p.Hdr.Size)
-	if s.eng != nil {
-		s.Delay.Add(float64(s.eng.Now() - p.Hdr.Time))
-	}
 	if p.Rec != nil && s.Telem != nil {
 		now := int64(0)
 		if s.eng != nil {
@@ -411,29 +402,4 @@ func (s *Sink) Flush() {
 		s.OnBatch(s.batch)
 		s.batch = s.batch[:0]
 	}
-}
-
-// Moments is a minimal online mean/max accumulator for delays (a local
-// copy avoids importing the stats package into the simulator core).
-type Moments struct {
-	N   int64
-	Sum float64
-	Max float64
-}
-
-// Add folds one observation.
-func (m *Moments) Add(x float64) {
-	m.N++
-	m.Sum += x
-	if x > m.Max {
-		m.Max = x
-	}
-}
-
-// Mean returns the running mean (0 when empty).
-func (m *Moments) Mean() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	return m.Sum / float64(m.N)
 }

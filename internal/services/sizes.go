@@ -53,3 +53,32 @@ var (
 	)
 	hadoopControlBytes = dist.LogNormalFromMedian(300, 0.8)
 )
+
+// reply names a response size model, so that a response event can
+// carry it.
+type reply uint8
+
+const (
+	replyCacheRead reply = iota
+	replyCacheWriteAck
+	replyMF
+	replyLeaderFill
+	replyLeaderPeer
+	replyDBResult
+	replySLBControl
+	replyMisc
+	replyHeartbeat
+)
+
+// replies are the response size models by reply.
+var replies = [...]dist.Dist{
+	replyCacheRead:     cacheReadRespBytes,
+	replyCacheWriteAck: cacheWriteAckBytes,
+	replyMF:            mfRespBytes,
+	replyLeaderFill:    leaderFillBytes,
+	replyLeaderPeer:    leaderPeerBytes,
+	replyDBResult:      dbResultBytes,
+	replySLBControl:    slbControlBytes,
+	replyMisc:          miscRespBytes,
+	replyHeartbeat:     dist.Constant{V: heartbeatMsgBytes},
+}

@@ -25,7 +25,12 @@ const (
 )
 
 // Trace synthesizes a monitored host's port-mirror capture. Create with
-// NewTrace and drive with Run.
+// NewTrace and drive with Run; Reset reuses it for another host.
+//
+// The role's behaviour is a program of typed events (see the kind
+// constants) run by handle: each event names a pooled or ephemeral
+// connection by its slab index in the Gen, and carries at most one
+// argument, so no step of the model costs a closure.
 type Trace struct {
 	G  *workload.Gen
 	P  Params
@@ -37,6 +42,11 @@ type Trace struct {
 	// hotMul is the current read-rate multiplier on a cache follower due
 	// to hot objects (§5.2).
 	hotMul float64
+	// busy is a Hadoop node's job phase.
+	busy bool
+	// pick draws the peer of a Web server's cache operations or of a
+	// cache follower's requests.
+	pick func() topology.HostID
 }
 
 // connPack packs a pool key into a uint64 for the open-addressing table:
@@ -61,13 +71,24 @@ const poolLanes = 3
 // role determines the behaviour installed. The picker may be shared
 // across traces over the same topology.
 func NewTrace(pk *Picker, host topology.HostID, seed uint64, p Params, sink workload.Collector) *Trace {
-	t := &Trace{
-		G:      workload.NewGen(pk.Topo, host, seed, sink),
-		P:      p,
-		pk:     pk,
-		hotMul: 1,
-	}
-	switch pk.Topo.HostRole(host) {
+	t := &Trace{G: workload.NewGen(pk.Topo, host, seed, sink), P: p, pk: pk}
+	t.G.SetModelHandler(t.handle)
+	t.install()
+	return t
+}
+
+// Reset makes t the generator NewTrace would build for host with the
+// same picker and parameters, reusing its Gen, engine and tables.
+func (t *Trace) Reset(host topology.HostID, seed uint64, sink workload.Collector) {
+	t.G.Reset(host, seed, sink)
+	t.conns.Reset()
+	t.install()
+}
+
+// install starts the behaviour of the Gen host's role.
+func (t *Trace) install() {
+	t.hotMul, t.busy, t.pick = 1, false, nil
+	switch role := t.pk.Topo.HostRole(t.G.Host); role {
 	case topology.RoleWeb:
 		t.installWeb()
 	case topology.RoleCacheFollower:
@@ -85,9 +106,86 @@ func NewTrace(pk *Picker, host topology.HostID, seed uint64, p Params, sink work
 	case topology.RoleMisc:
 		t.installMisc()
 	default:
-		panic(fmt.Sprintf("services: no model for role %v", pk.Topo.HostRole(host)))
+		panic(fmt.Sprintf("services: no model for role %v", role))
 	}
-	return t
+}
+
+// The model's event kinds. A is a connection's ID unless noted.
+const (
+	kindSend     = workload.KindModel + iota // send a replies[B] message
+	kindRecv                                 // receive a replies[B] message
+	kindEphReq                               // ephemeral RPC request, B is the RTT
+	kindEphResp                              // ephemeral RPC response, then close
+	kindChurnReq                             // pooled churn RPC request, B is the RTT
+	kindBeat                                 // pool heartbeat, B is the deadline
+	kindWebRead                              // a Web cache read (no A)
+	kindWebWrite                             // a Web cache write (no A)
+	kindWebMF                                // a Web Multifeed op (no A)
+	kindWebDone                              // reply to the SLB on A
+	kindRead                                 // a cache follower read (no A)
+	kindHotEnd                               // a hot object is mitigated (no A)
+	kindBusy                                 // a Hadoop busy phase begins (no A)
+	kindQuiet                                // a Hadoop quiet phase begins (no A)
+	kindChunkOut                             // send a Hadoop chunk, B bytes left
+	kindChunkIn                              // receive a Hadoop chunk, B bytes left
+)
+
+// after schedules an event of the model d after the current time.
+func (t *Trace) after(d netsim.Time, kind uint8, a int32, b int64) {
+	t.G.Eng.AfterEvent(d, netsim.Event{Kind: kind, A: a, B: b})
+}
+
+// handle runs one event of the model.
+func (t *Trace) handle(ev netsim.Event) {
+	g := t.G
+	switch ev.Kind {
+	case kindSend:
+		g.Conn(ev.A).SendMsg(int(replies[ev.B].Sample(g.R)))
+	case kindRecv:
+		g.Conn(ev.A).RecvMsg(int(replies[ev.B].Sample(g.R)))
+	case kindEphReq:
+		g.Conn(ev.A).SendMsg(int(miscReqBytes.Sample(g.R)))
+		t.after(netsim.Time(ev.B), kindEphResp, ev.A, 0)
+	case kindEphResp:
+		c := g.Conn(ev.A)
+		c.RecvMsg(int(miscRespBytes.Sample(g.R)))
+		c.CloseAfter(netsim.Time(g.R.Exp() * float64(5*netsim.Millisecond)))
+	case kindChurnReq:
+		g.Conn(ev.A).SendMsg(int(miscReqBytes.Sample(g.R)))
+		t.after(netsim.Time(ev.B), kindRecv, ev.A, int64(replyMisc))
+	case kindBeat: // a heartbeat, or the FIN once the deadline has passed
+		c := g.Conn(ev.A)
+		if g.Eng.Now() >= netsim.Time(ev.B) {
+			c.Close()
+			return
+		}
+		c.SendMsg(heartbeatMsgBytes)
+		t.after(g.RTT(c.Peer), kindRecv, ev.A, int64(replyHeartbeat))
+		t.after(netsim.Time(g.R.Exp()*heartbeatGapMean*float64(netsim.Second)), kindBeat, ev.A, ev.B)
+	case kindWebRead:
+		t.rpcOut(t.pick(), PortCache, cacheReadReqBytes, replyCacheRead)
+	case kindWebWrite:
+		t.rpcOut(t.pick(), PortCache, cacheWriteBytes, replyCacheWriteAck)
+	case kindWebMF:
+		t.rpcOut(t.pk.ClusterPeer(g.R, g.Host, topology.RoleMultifeed), PortMF, mfReqBytes, replyMF)
+	case kindWebDone: // control bytes to the SLB, the page toward the edge
+		g.Conn(ev.A).SendMsg(int(slbControlBytes.Sample(g.R)))
+		edge := t.pk.DCPeer(g.R, g.Host, topology.RoleMisc)
+		if g.R.Bool(0.7) {
+			edge = t.pk.RemotePeer(g.R, g.Host, topology.RoleMisc)
+		}
+		t.conn(edge, PortEgress, false).SendMsg(int(egressReplyBytes.Sample(g.R)))
+	case kindRead: // at a rate scaled by the hot-object multiplier
+		t.rpcIn(t.pick(), PortCache, cacheReadReqBytes, replyCacheRead)
+		mean := float64(netsim.Second) / (t.P.CacheReadPerSec * t.hotMul)
+		t.after(netsim.Time(g.R.Exp()*mean), kindRead, 0, 0)
+	case kindHotEnd:
+		t.hotMul = 1
+	case kindBusy, kindQuiet:
+		t.phase(ev.Kind == kindBusy)
+	case kindChunkOut, kindChunkIn:
+		t.chunk(g.Conn(ev.A), ev.B, ev.Kind == kindChunkOut)
+	}
 }
 
 // Run generates the trace for the given duration.
@@ -128,46 +226,36 @@ func (t *Trace) conn(peer topology.HostID, port uint16, inbound bool) *workload.
 // finish closes c if the pooling ablation made it ephemeral.
 func (t *Trace) finish(c *workload.Conn, after netsim.Time) {
 	if t.P.DisableConnectionPooling {
-		t.G.Eng.After(after, c.Close)
+		c.CloseAfter(after)
 	}
 }
 
 // rpcOut issues one outbound request/response exchange to peer.
-func (t *Trace) rpcOut(peer topology.HostID, port uint16, req, resp dist.Dist) {
+func (t *Trace) rpcOut(peer topology.HostID, port uint16, req dist.Dist, resp reply) {
 	c := t.conn(peer, port, false)
 	c.SendMsg(int(req.Sample(t.G.R)))
 	rtt := t.G.RTT(peer)
 	svc := netsim.Time(50*netsim.Microsecond) + netsim.Time(t.G.R.Exp()*float64(100*netsim.Microsecond))
-	t.G.Eng.After(rtt+svc, func() {
-		c.RecvMsg(int(resp.Sample(t.G.R)))
-	})
+	t.after(rtt+svc, kindRecv, c.ID(), int64(resp))
 	t.finish(c, rtt+svc+netsim.Millisecond)
 }
 
 // rpcIn serves one inbound request/response exchange from peer.
-func (t *Trace) rpcIn(peer topology.HostID, port uint16, req, resp dist.Dist) {
+func (t *Trace) rpcIn(peer topology.HostID, port uint16, req dist.Dist, resp reply) {
 	c := t.conn(peer, port, true)
 	c.RecvMsg(int(req.Sample(t.G.R)))
 	svc := netsim.Time(40*netsim.Microsecond) + netsim.Time(t.G.R.Exp()*float64(80*netsim.Microsecond))
-	t.G.Eng.After(svc, func() {
-		c.SendMsg(int(resp.Sample(t.G.R)))
-	})
+	t.after(svc, kindSend, c.ID(), int64(resp))
 	t.finish(c, svc+netsim.Millisecond)
 }
 
-// ephemeralRPC opens a short-lived connection to peer, exchanges one
-// request/response, and closes — the non-pooled long tail visible in the
-// SYN interarrival distribution (Fig. 14).
-func (t *Trace) ephemeralRPC(peer topology.HostID, port uint16, req, resp dist.Dist) {
-	c := t.G.NewConn(peer, port, true)
+// ephemeralRPC opens a short-lived connection to a long-tail service
+// peer, exchanges one request/response, and closes — the non-pooled long
+// tail visible in the SYN interarrival distribution (Fig. 14).
+func (t *Trace) ephemeralRPC(peer topology.HostID) {
+	c := t.G.NewConn(peer, PortMisc, true)
 	rtt := t.G.RTT(peer)
-	t.G.Eng.After(rtt, func() {
-		c.SendMsg(int(req.Sample(t.G.R)))
-		t.G.Eng.After(rtt, func() {
-			c.RecvMsg(int(resp.Sample(t.G.R)))
-			t.G.Eng.After(netsim.Time(t.G.R.Exp()*float64(5*netsim.Millisecond)), c.Close)
-		})
-	})
+	t.after(rtt, kindEphReq, c.ID(), int64(rtt))
 }
 
 // Connection-pool lifetime model (§5.1): flows are "long-lived but not
@@ -184,35 +272,22 @@ const (
 // poolMember runs one pooled connection's life: periodic heartbeats until
 // its exponential lifetime expires, then a FIN.
 func (t *Trace) poolMember(c *workload.Conn, lifetimeSec float64) {
-	g := t.G
-	deadline := g.Eng.Now() + netsim.Time(lifetimeSec*float64(netsim.Second))
-	var beat func()
-	beat = func() {
-		if g.Eng.Now() >= deadline {
-			c.Close()
-			return
-		}
-		c.SendMsg(heartbeatMsgBytes)
-		g.Eng.After(g.RTT(c.Peer), func() { c.RecvMsg(heartbeatMsgBytes) })
-		g.Eng.After(netsim.Time(g.R.Exp()*heartbeatGapMean*float64(netsim.Second)), beat)
-	}
-	g.Eng.After(netsim.Time(g.R.Exp()*heartbeatGapMean*float64(netsim.Second)), beat)
+	deadline := t.G.Eng.Now() + netsim.Time(lifetimeSec*float64(netsim.Second))
+	t.after(netsim.Time(t.G.R.Exp()*heartbeatGapMean*float64(netsim.Second)), kindBeat, c.ID(), int64(deadline))
 }
 
-// churnRPC models connection-pool churn: with probability pStay the new
-// connection joins the pool (heartbeats until its lifetime ends);
-// otherwise it behaves like ephemeralRPC.
-func (t *Trace) churnRPC(peer topology.HostID, port uint16, req, resp dist.Dist, pStay float64) {
+// churnRPC models connection-pool churn toward a long-tail service
+// peer: with probability pStay the new connection joins the pool
+// (heartbeats until its lifetime ends); otherwise it behaves like
+// ephemeralRPC.
+func (t *Trace) churnRPC(peer topology.HostID, pStay float64) {
 	if !t.G.R.Bool(pStay) {
-		t.ephemeralRPC(peer, port, req, resp)
+		t.ephemeralRPC(peer)
 		return
 	}
-	c := t.G.NewConn(peer, port, true)
+	c := t.G.NewConn(peer, PortMisc, true)
 	rtt := t.G.RTT(peer)
-	t.G.Eng.After(rtt, func() {
-		c.SendMsg(int(req.Sample(t.G.R)))
-		t.G.Eng.After(rtt, func() { c.RecvMsg(int(resp.Sample(t.G.R))) })
-	})
+	t.after(rtt, kindChurnReq, c.ID(), int64(rtt))
 	t.poolMember(c, t.G.R.Exp()*poolLifetimeMean)
 }
 
@@ -253,7 +328,7 @@ func (t *Trace) installWeb() {
 		start := int(self) % (caches.Len() - n + 1)
 		shard = caches.Slice(start, start+n)
 	}
-	pickCache := func() topology.HostID {
+	t.pick = func() topology.HostID {
 		set := caches
 		if p.PartitionUsers && g.R.Float64() < 0.9 {
 			set = shard
@@ -262,52 +337,34 @@ func (t *Trace) installWeb() {
 	}
 
 	// One user request: SLB in → cache/MF fan-out → reply toward the edge.
-	userRequest := func() {
+	g.Poisson(p.WebUserReqPerSec, func() {
 		slb := t.pk.ClusterPeer(g.R, self, topology.RoleSLB)
 		slbConn := t.conn(slb, PortWeb, true)
 		slbConn.RecvMsg(int(slbRequestBytes.Sample(g.R)))
 
 		reads := poissonCount(g, p.WebCacheReadsPerReq)
 		for i := 0; i < reads; i++ {
-			d := netsim.Time(g.R.Exp() * float64(2*netsim.Millisecond))
-			g.Eng.After(d, func() {
-				t.rpcOut(pickCache(), PortCache, cacheReadReqBytes, cacheReadRespBytes)
-			})
+			t.after(netsim.Time(g.R.Exp()*float64(2*netsim.Millisecond)), kindWebRead, 0, 0)
 		}
 		writes := poissonCount(g, p.WebCacheWritesPerReq)
 		for i := 0; i < writes; i++ {
-			d := netsim.Time(g.R.Exp() * float64(4*netsim.Millisecond))
-			g.Eng.After(d, func() {
-				t.rpcOut(pickCache(), PortCache, cacheWriteBytes, cacheWriteAckBytes)
-			})
+			t.after(netsim.Time(g.R.Exp()*float64(4*netsim.Millisecond)), kindWebWrite, 0, 0)
 		}
 		mfOps := poissonCount(g, p.WebMFOpsPerReq)
 		for i := 0; i < mfOps; i++ {
-			g.Eng.After(netsim.Time(g.R.Exp()*float64(2*netsim.Millisecond)), func() {
-				t.rpcOut(t.pk.ClusterPeer(g.R, self, topology.RoleMultifeed), PortMF, mfReqBytes, mfRespBytes)
-			})
+			t.after(netsim.Time(g.R.Exp()*float64(2*netsim.Millisecond)), kindWebMF, 0, 0)
 		}
-		// Assemble and reply: small control bytes to the SLB, the page
-		// itself toward the edge (misc hosts standing in for egress
-		// routers; half of egress leaves the datacenter).
+		// Assemble and reply (kindWebDone) once the fan-out is back.
 		done := netsim.Time(8*netsim.Millisecond) + netsim.Time(g.R.Exp()*float64(8*netsim.Millisecond))
-		g.Eng.After(done, func() {
-			slbConn.SendMsg(int(slbControlBytes.Sample(g.R)))
-			edge := t.pk.DCPeer(g.R, self, topology.RoleMisc)
-			if g.R.Bool(0.7) {
-				edge = t.pk.RemotePeer(g.R, self, topology.RoleMisc)
-			}
-			t.conn(edge, PortEgress, false).SendMsg(int(egressReplyBytes.Sample(g.R)))
-		})
-	}
-	g.Poisson(p.WebUserReqPerSec, userRequest)
+		t.after(done, kindWebDone, slbConn.ID(), 0)
+	})
 
 	// Service chatter drives the Web SYN arrival rate: a third of new
 	// connections join pools and persist.
 	t.prePool(func() topology.HostID { return t.pk.MiscPeer(g.R, self) },
 		PortMisc, p.WebEphemeralPerSec, 0.35)
 	g.Poisson(p.WebEphemeralPerSec, func() {
-		t.churnRPC(t.pk.MiscPeer(g.R, self), PortMisc, miscReqBytes, miscRespBytes, 0.35)
+		t.churnRPC(t.pk.MiscPeer(g.R, self), 0.35)
 	})
 }
 
@@ -327,7 +384,7 @@ func (t *Trace) installCacheFollower() {
 	// hot subset of Web servers concentrates most of the demand, and the
 	// hot set drifts every couple of seconds as sessions come and go —
 	// per-rack rates then swing far from their medians.
-	pickWeb := func() topology.HostID {
+	t.pick = func() topology.HostID {
 		if p.DisableLoadBalancing && g.R.Bool(0.85) {
 			// Hot block of adjacent Web servers (one rack's worth,
 			// since peer lists are rack-ordered), drifting every 2 s.
@@ -343,16 +400,10 @@ func (t *Trace) installCacheFollower() {
 	}
 
 	// Read service loop; rate scaled by the hot-object multiplier.
-	var readLoop func()
-	readLoop = func() {
-		t.rpcIn(pickWeb(), PortCache, cacheReadReqBytes, cacheReadRespBytes)
-		mean := float64(netsim.Second) / (p.CacheReadPerSec * t.hotMul)
-		g.Eng.After(netsim.Time(g.R.Exp()*mean), readLoop)
-	}
-	g.Eng.After(netsim.Time(g.R.Exp()*float64(netsim.Second)/p.CacheReadPerSec), readLoop)
+	t.after(netsim.Time(g.R.Exp()*float64(netsim.Second)/p.CacheReadPerSec), kindRead, 0, 0)
 
 	g.Poisson(p.CacheWritePerSec, func() {
-		t.rpcIn(pickWeb(), PortCache, cacheWriteBytes, cacheWriteAckBytes)
+		t.rpcIn(t.pick(), PortCache, cacheWriteBytes, replyCacheWriteAck)
 	})
 
 	// Coherency with leaders: miss fills out-of-cluster (§4.2: leaders
@@ -360,10 +411,10 @@ func (t *Trace) installCacheFollower() {
 	g.Poisson(p.CacheLeaderSyncPerSec, func() {
 		leader := t.pk.FleetPeer(g.R, self, topology.RoleCacheLeader, 0.6)
 		if g.R.Bool(0.7) {
-			t.rpcOut(leader, PortLeader, leaderSyncReqBytes, leaderFillBytes)
+			t.rpcOut(leader, PortLeader, leaderSyncReqBytes, replyLeaderFill)
 		} else {
 			// Invalidations arrive from the leader.
-			t.rpcIn(leader, PortCache, leaderInvalBytes, cacheWriteAckBytes)
+			t.rpcIn(leader, PortCache, leaderInvalBytes, replyCacheWriteAck)
 		}
 	})
 
@@ -379,7 +430,7 @@ func (t *Trace) installCacheFollower() {
 		if p.DisableHotObjectMitigation {
 			hold = netsim.Time((10 + g.R.Float64()*30) * float64(netsim.Second))
 		}
-		g.Eng.After(hold, func() { t.hotMul = 1 })
+		t.after(hold, kindHotEnd, 0, 0)
 	})
 
 	// Cache connection churn is dominated by pool replenishment: most new
@@ -387,7 +438,7 @@ func (t *Trace) installCacheFollower() {
 	t.prePool(func() topology.HostID { return t.pk.MiscPeer(g.R, self) },
 		PortMisc, p.CacheEphemeralPerSec, 0.7)
 	g.Poisson(p.CacheEphemeralPerSec, func() {
-		t.churnRPC(t.pk.MiscPeer(g.R, self), PortMisc, miscReqBytes, miscRespBytes, 0.7)
+		t.churnRPC(t.pk.MiscPeer(g.R, self), 0.7)
 	})
 }
 
@@ -415,13 +466,13 @@ func (t *Trace) installCacheLeader() {
 	// Misses arriving from followers; answered with fills.
 	g.Poisson(p.LeaderMissInPerSec, func() {
 		f := t.pk.FleetPeer(g.R, self, topology.RoleCacheFollower, 0.6)
-		t.rpcIn(f, PortLeader, leaderSyncReqBytes, leaderFillBytes)
+		t.rpcIn(f, PortLeader, leaderSyncReqBytes, replyLeaderFill)
 	})
 
 	// Database reads and writes behind the misses.
 	g.Poisson(p.LeaderDBOpsPerSec, func() {
 		db := t.pk.FleetPeer(g.R, self, topology.RoleDB, 0.5)
-		t.rpcOut(db, PortDB, dbQueryBytes, dbResultBytes)
+		t.rpcOut(db, PortDB, dbQueryBytes, replyDBResult)
 	})
 
 	// Pushes to Multifeed aggregators.
@@ -433,13 +484,13 @@ func (t *Trace) installCacheLeader() {
 	// Intra-cluster coordination with sibling leaders.
 	g.Poisson(p.LeaderPeerSyncPerSec, func() {
 		peer := t.pk.ClusterPeer(g.R, self, topology.RoleCacheLeader)
-		t.rpcOut(peer, PortLeader, leaderPeerBytes, leaderPeerBytes)
+		t.rpcOut(peer, PortLeader, leaderPeerBytes, replyLeaderPeer)
 	})
 
 	t.prePool(func() topology.HostID { return t.pk.MiscPeer(g.R, self) },
 		PortMisc, p.LeaderEphemeralPerSec, 0.65)
 	g.Poisson(p.LeaderEphemeralPerSec, func() {
-		t.churnRPC(t.pk.MiscPeer(g.R, self), PortMisc, miscReqBytes, miscRespBytes, 0.65)
+		t.churnRPC(t.pk.MiscPeer(g.R, self), 0.65)
 	})
 }
 

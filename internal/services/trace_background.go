@@ -16,7 +16,7 @@ func (t *Trace) installMultifeed() {
 	self := g.Host
 	g.Poisson(p.MFReqPerSec, func() {
 		web := t.pk.ClusterPeer(g.R, self, topology.RoleWeb)
-		t.rpcIn(web, PortMF, mfReqBytes, mfRespBytes)
+		t.rpcIn(web, PortMF, mfReqBytes, replyMF)
 	})
 	g.Poisson(p.LeaderMFPerSec, func() {
 		leader := t.pk.FleetPeer(g.R, self, topology.RoleCacheLeader, 0.7)
@@ -24,7 +24,7 @@ func (t *Trace) installMultifeed() {
 		c.RecvMsg(int(leaderFillBytes.Sample(g.R)))
 	})
 	g.Poisson(p.MiscFlowPerSec/4, func() {
-		t.ephemeralRPC(t.pk.MiscPeer(g.R, self), PortMisc, miscReqBytes, miscRespBytes)
+		t.ephemeralRPC(t.pk.MiscPeer(g.R, self))
 	})
 }
 
@@ -37,7 +37,7 @@ func (t *Trace) installSLB() {
 	self := g.Host
 	g.Poisson(p.SLBReqPerSec, func() {
 		web := t.pk.ClusterPeer(g.R, self, topology.RoleWeb)
-		t.rpcOut(web, PortWeb, slbRequestBytes, slbControlBytes)
+		t.rpcOut(web, PortWeb, slbRequestBytes, replySLBControl)
 	})
 	// Ingress from the edge (misc hosts stand in for routers).
 	g.Poisson(p.SLBReqPerSec/2, func() {
@@ -56,7 +56,7 @@ func (t *Trace) installDB() {
 	self := g.Host
 	g.Poisson(p.DBQueryPerSec, func() {
 		leader := t.pk.FleetPeer(g.R, self, topology.RoleCacheLeader, 0.5)
-		t.rpcIn(leader, PortDB, dbQueryBytes, dbResultBytes)
+		t.rpcIn(leader, PortDB, dbQueryBytes, replyDBResult)
 	})
 	g.Poisson(p.DBReplPerSec, func() {
 		var peer topology.HostID
@@ -80,9 +80,9 @@ func (t *Trace) installMisc() {
 	g.Poisson(p.MiscFlowPerSec, func() {
 		peer := t.pk.MiscPeer(g.R, self)
 		if g.R.Bool(0.5) {
-			t.rpcOut(peer, PortMisc, miscReqBytes, miscRespBytes)
+			t.rpcOut(peer, PortMisc, miscReqBytes, replyMisc)
 		} else {
-			t.rpcIn(peer, PortMisc, miscReqBytes, miscRespBytes)
+			t.rpcIn(peer, PortMisc, miscReqBytes, replyMisc)
 		}
 	})
 }

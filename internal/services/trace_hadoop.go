@@ -3,6 +3,7 @@ package services
 import (
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/topology"
+	"fbdcnet/internal/workload"
 )
 
 // installHadoop models a Hadoop node's distinct job phases (§4.2): quiet
@@ -14,31 +15,17 @@ import (
 func (t *Trace) installHadoop() {
 	g, p := t.G, t.P
 	self := g.Host
-	busy := false
 
 	// Phase alternation with log-normal-ish durations (exponential keeps
 	// the tail simple; observed variability comes from job mix anyway).
-	var enterBusy, enterQuiet func()
-	enterBusy = func() {
-		busy = true
-		g.Eng.After(netsim.Time(g.R.Exp()*p.HadoopBusyMeanSec*float64(netsim.Second)), enterQuiet)
-	}
-	enterQuiet = func() {
-		busy = false
-		g.Eng.After(netsim.Time(g.R.Exp()*p.HadoopQuietMeanSec*float64(netsim.Second)), enterBusy)
-	}
 	// Start mid-phase, busy with the same duty-cycle probability the
 	// steady state would give.
 	duty := p.HadoopBusyMeanSec / (p.HadoopBusyMeanSec + p.HadoopQuietMeanSec)
-	if g.R.Bool(duty) {
-		enterBusy()
-	} else {
-		enterQuiet()
-	}
+	t.phase(g.R.Bool(duty))
 
 	// Data transfers during busy phases.
 	g.Poisson(p.HadoopBusyFlowPerSec, func() {
-		if !busy {
+		if !t.busy {
 			return
 		}
 		peer := t.pk.HadoopPeer(g.R, self, p.HadoopRackLocalFrac)
@@ -52,41 +39,52 @@ func (t *Trace) installHadoop() {
 	})
 }
 
+// phase enters a busy or quiet phase and schedules the next one.
+func (t *Trace) phase(busy bool) {
+	t.busy = busy
+	mean, next := t.P.HadoopQuietMeanSec, kindBusy
+	if busy {
+		mean, next = t.P.HadoopBusyMeanSec, kindQuiet
+	}
+	t.after(netsim.Time(t.G.R.Exp()*mean*float64(netsim.Second)), next, 0, 0)
+}
+
 // hadoopTransfer moves size bytes over a fresh connection in chunked
 // application writes with pauses between chunks, then closes. Outbound
 // and inbound transfers are both synthesized so the mirror sees both
 // shuffle directions.
 func (t *Trace) hadoopTransfer(peer topology.HostID, size int, outbound bool) {
-	g, p := t.G, t.P
-	chunk := p.HadoopChunkBytes
-	if chunk <= 0 {
-		chunk = 64 << 10
-	}
-	gapMean := p.HadoopChunkGapMs * float64(netsim.Millisecond)
-
+	kind := kindChunkOut
 	var c = t.G.NewConn(peer, PortHadoop, true)
 	if !outbound {
-		c = t.G.NewInboundConn(peer, PortHadoopIn, true)
-	}
-	remaining := size
-	var step func()
-	step = func() {
-		n := remaining
-		if n > chunk {
-			n = chunk
-		}
-		if outbound {
-			c.SendMsg(n)
-		} else {
-			c.RecvMsg(n)
-		}
-		remaining -= n
-		if remaining > 0 {
-			g.Eng.After(netsim.Time(g.R.Exp()*gapMean), step)
-			return
-		}
-		g.Eng.After(netsim.Time(g.R.Exp()*float64(2*netsim.Millisecond)), c.Close)
+		c, kind = t.G.NewInboundConn(peer, PortHadoopIn, true), kindChunkIn
 	}
 	// Data begins one RTT after the handshake.
-	g.Eng.After(t.G.RTT(peer), step)
+	t.after(t.G.RTT(peer), kind, c.ID(), int64(size))
+}
+
+// chunk moves the next application write of a transfer with remaining
+// bytes left, then schedules the one after it or the close.
+func (t *Trace) chunk(c *workload.Conn, remaining int64, outbound bool) {
+	g, p := t.G, t.P
+	n := int64(p.HadoopChunkBytes)
+	if n <= 0 {
+		n = 64 << 10
+	}
+	n = min(n, remaining)
+	if outbound {
+		c.SendMsg(int(n))
+	} else {
+		c.RecvMsg(int(n))
+	}
+	if remaining -= n; remaining > 0 {
+		kind := kindChunkIn
+		if outbound {
+			kind = kindChunkOut
+		}
+		gapMean := p.HadoopChunkGapMs * float64(netsim.Millisecond)
+		t.after(netsim.Time(g.R.Exp()*gapMean), kind, c.ID(), remaining)
+		return
+	}
+	c.CloseAfter(netsim.Time(g.R.Exp() * float64(2*netsim.Millisecond)))
 }

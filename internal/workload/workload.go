@@ -97,11 +97,16 @@ func (s batchShim) Packets(hs []packet.Header) {
 
 // Gen is the per-host trace generation context: a discrete-event engine,
 // a deterministic random source, and an ordered emission path to the
-// collector. Service models schedule application behaviour on it. The
+// collector. Service models schedule application behaviour on it as
+// typed events (Engine.AfterEvent) of their own kinds, from KindModel
+// up, which the Gen hands to the model's handler (SetModelHandler); its
+// own kinds run Poisson loops, handshakes and FIN exchanges. The
 // engine's header handler is the Gen's emit path: message trains and
-// delayed ACKs are typed header events (Engine.AfterHeader), not a
-// closure each, so a warm Gen emits them without allocating. The
-// emitted stream is in time order (see emit).
+// delayed ACKs are header events (Engine.AfterHeader). So neither a
+// model step nor a packet costs a closure, and a warm Gen emits without
+// allocating. Connections live in a slab that events name by index
+// (Conn.ID). The emitted stream is in time order (see emit). Reset
+// reuses a Gen, its engine and its slabs for another host.
 type Gen struct {
 	Eng  *netsim.Engine
 	R    *rng.Source
@@ -115,7 +120,32 @@ type Gen struct {
 	batches   int64
 	lastEmit  netsim.Time
 	reordered int64
+
+	model  func(netsim.Event) // runs the model's kinds
+	loops  []loop             // Poisson loops by index
+	conns  []*Conn            // connection slab; conns[:nconns] are live
+	nconns int
 }
+
+// loop is one Poisson loop: fn runs with exponential gaps of mean ns.
+type loop struct {
+	mean float64
+	fn   func()
+}
+
+// The Gen's own event kinds. A names a Poisson loop or a connection.
+const (
+	kindPoisson  uint8 = iota // run loops[A] and schedule its next tick
+	kindOpened                // outbound handshake of conn A completes
+	kindInOpened              // inbound handshake of conn A completes
+	kindFinAck                // the peer's FIN and the last ACK of conn A
+	kindClose                 // close conn A
+
+	// KindModel is the first event kind a service model may use; the
+	// Gen passes every event of a kind from KindModel up to the model's
+	// handler.
+	KindModel
+)
 
 // genBatchSize is the emission slab capacity: large enough to amortize
 // fanout dispatch over hundreds of headers, small enough that the slab
@@ -125,16 +155,61 @@ const genBatchSize = 512
 // NewGen creates a generation context for monitored host h.
 func NewGen(topo *topology.Topology, h topology.HostID, seed uint64, sink Collector) *Gen {
 	g := &Gen{
-		Eng:      &netsim.Engine{},
-		R:        rng.New(seed),
-		Topo:     topo,
-		Host:     h,
-		sink:     Batched(sink),
-		batch:    make(Batch, 0, genBatchSize),
-		nextPort: 32768,
+		Eng:   &netsim.Engine{},
+		R:     new(rng.Source),
+		Topo:  topo,
+		batch: make(Batch, 0, genBatchSize),
 	}
 	g.Eng.SetHeaderHandler(g.emit)
+	g.Eng.SetEventHandler(g.handle)
+	g.Reset(h, seed, sink)
 	return g
+}
+
+// Reset makes g a fresh generation context for host h, as NewGen would,
+// keeping its engine's queues, its slabs and its model handler. The
+// Conns it handed out before are reused: nothing may hold one across a
+// Reset.
+func (g *Gen) Reset(h topology.HostID, seed uint64, sink Collector) {
+	g.Eng.Reset()
+	*g.R = *rng.New(seed)
+	g.Host, g.sink = h, Batched(sink)
+	g.batch.Reset()
+	g.nextPort = 32768
+	g.emitted, g.batches, g.lastEmit, g.reordered = 0, 0, 0, 0
+	clear(g.loops)
+	g.loops, g.nconns = g.loops[:0], 0
+}
+
+// SetModelHandler installs fn as the handler of the model's event kinds
+// (KindModel and up).
+func (g *Gen) SetModelHandler(fn func(netsim.Event)) { g.model = fn }
+
+// handle is the engine's event handler.
+func (g *Gen) handle(ev netsim.Event) {
+	if ev.Kind >= KindModel {
+		g.model(ev)
+		return
+	}
+	if ev.Kind == kindPoisson {
+		l := g.loops[ev.A]
+		l.fn()
+		g.Eng.AfterEvent(netsim.Time(g.R.Exp()*l.mean), ev)
+		return
+	}
+	c := g.conns[ev.A]
+	switch ev.Kind {
+	case kindOpened:
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: 74, Flags: packet.FlagSYN | packet.FlagACK})
+		g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
+	case kindInOpened:
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagACK})
+	case kindFinAck:
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagFIN | packet.FlagACK})
+		g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
+	case kindClose:
+		c.Close()
+	}
 }
 
 // Run executes the scheduled behaviour until dur, then flushes the
@@ -205,61 +280,58 @@ type Conn struct {
 	Key    packet.FlowKey
 	Peer   topology.HostID
 	g      *Gen
-	opened bool
+	id     int32
 	closed bool
 }
+
+// ID returns c's index in its Gen's connection slab (see Gen.Conn).
+func (c *Conn) ID() int32 { return c.id }
+
+// Conn returns the connection whose ID is id.
+func (g *Gen) Conn(id int32) *Conn { return g.conns[id] }
 
 // NewConn creates a connection to peer on the given destination port.
 // If handshake is true a SYN/SYN-ACK exchange is emitted at the current
 // time (an ephemeral flow); otherwise the connection is considered
 // pre-established (a pooled connection from before the capture began).
 func (g *Gen) NewConn(peer topology.HostID, dstPort uint16, handshake bool) *Conn {
-	c := &Conn{
-		Key: packet.FlowKey{
-			Src:     g.Topo.Addr(g.Host),
-			Dst:     g.Topo.Addr(peer),
-			SrcPort: g.AllocPort(),
-			DstPort: dstPort,
-			Proto:   packet.TCP,
-		},
-		Peer:   peer,
-		g:      g,
-		opened: !handshake,
-	}
-	if handshake {
-		g.emit(packet.Header{Key: c.Key, Size: 74, Flags: packet.FlagSYN})
-		g.Eng.After(g.rtt(peer), func() {
-			g.emit(packet.Header{Key: c.Key.Reverse(), Size: 74, Flags: packet.FlagSYN | packet.FlagACK})
-			g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
-			c.opened = true
-		})
-	}
-	return c
+	return g.newConn(peer, dstPort, false, handshake)
 }
 
 // NewInboundConn creates a connection initiated by the peer (the SYN
 // arrives from the peer). Key.Src remains the monitored host for
 // bookkeeping; emitted packets are direction-correct.
 func (g *Gen) NewInboundConn(peer topology.HostID, dstPort uint16, handshake bool) *Conn {
-	c := &Conn{
-		Key: packet.FlowKey{
-			Src:     g.Topo.Addr(g.Host),
-			Dst:     g.Topo.Addr(peer),
-			SrcPort: dstPort,
-			DstPort: g.AllocPort(),
-			Proto:   packet.TCP,
-		},
-		Peer:   peer,
-		g:      g,
-		opened: !handshake,
+	return g.newConn(peer, dstPort, true, handshake)
+}
+
+// newConn takes the next connection of the slab for NewConn or
+// NewInboundConn.
+func (g *Gen) newConn(peer topology.HostID, port uint16, inbound, handshake bool) *Conn {
+	if g.nconns == len(g.conns) {
+		g.conns = append(g.conns, new(Conn))
 	}
-	if handshake {
+	c := g.conns[g.nconns]
+	*c = Conn{Key: packet.FlowKey{
+		Src:     g.Topo.Addr(g.Host),
+		Dst:     g.Topo.Addr(peer),
+		SrcPort: g.AllocPort(),
+		DstPort: port,
+		Proto:   packet.TCP,
+	}, Peer: peer, g: g, id: int32(g.nconns)}
+	g.nconns++
+	if inbound {
+		c.Key.SrcPort, c.Key.DstPort = port, c.Key.SrcPort
+	}
+	switch {
+	case !handshake:
+	case inbound:
 		g.emit(packet.Header{Key: c.Key.Reverse(), Size: 74, Flags: packet.FlagSYN})
 		g.emit(packet.Header{Key: c.Key, Size: 74, Flags: packet.FlagSYN | packet.FlagACK})
-		g.Eng.After(g.rtt(peer), func() {
-			g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagACK})
-			c.opened = true
-		})
+		g.Eng.AfterEvent(g.rtt(peer), netsim.Event{Kind: kindInOpened, A: c.id})
+	default:
+		g.emit(packet.Header{Key: c.Key, Size: 74, Flags: packet.FlagSYN})
+		g.Eng.AfterEvent(g.rtt(peer), netsim.Event{Kind: kindOpened, A: c.id})
 	}
 	return c
 }
@@ -272,10 +344,12 @@ func (c *Conn) Close() {
 	c.closed = true
 	g := c.g
 	g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagFIN | packet.FlagACK})
-	g.Eng.After(g.rtt(c.Peer), func() {
-		g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagFIN | packet.FlagACK})
-		g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
-	})
+	g.Eng.AfterEvent(g.rtt(c.Peer), netsim.Event{Kind: kindFinAck, A: c.id})
+}
+
+// CloseAfter schedules Close d after the current time.
+func (c *Conn) CloseAfter(d netsim.Time) {
+	c.g.Eng.AfterEvent(d, netsim.Event{Kind: kindClose, A: c.id})
 }
 
 // rtt returns a plausible round-trip time to peer based on locality, with
@@ -364,10 +438,6 @@ func (g *Gen) Poisson(ratePerSec float64, fn func()) {
 		return
 	}
 	mean := float64(netsim.Second) / ratePerSec
-	var tick func()
-	tick = func() {
-		fn()
-		g.Eng.After(netsim.Time(g.R.Exp()*mean), tick)
-	}
-	g.Eng.After(netsim.Time(g.R.Exp()*mean), tick)
+	g.loops = append(g.loops, loop{mean: mean, fn: fn})
+	g.Eng.AfterEvent(netsim.Time(g.R.Exp()*mean), netsim.Event{Kind: kindPoisson, A: int32(len(g.loops) - 1)})
 }

@@ -44,8 +44,8 @@ func TestHandshakeEmitsSYN(t *testing.T) {
 	g, cap, _ := newTestGen(t)
 	g.Eng.At(netsim.Second, func() {
 		c := g.NewConn(3, 80, true)
-		g.Eng.After(10*netsim.Millisecond, func() { c.SendMsg(100) })
-		g.Eng.After(20*netsim.Millisecond, c.Close)
+		after(g, 10*netsim.Millisecond, func() { c.SendMsg(100) })
+		c.CloseAfter(20 * netsim.Millisecond)
 	})
 	g.Run(2 * netsim.Second)
 
@@ -244,6 +244,10 @@ func TestDeterministicTrace(t *testing.T) {
 	}
 }
 
+// after schedules fn d after the current time: the closure form of a
+// typed event.
+func after(g *Gen, d netsim.Time, fn func()) { g.Eng.At(g.Eng.Now()+d, fn) }
+
 // closureMessage is Gen.message as it was before header events: one
 // After closure per segment and per delayed ACK. It is the oracle for
 // the dispatch order of the typed path.
@@ -267,11 +271,11 @@ func (g *Gen) closureMessage(c *Conn, bytes int, inbound bool) {
 			flags |= packet.FlagPSH
 		}
 		hdr := packet.Header{Key: dataKey, Size: uint32(pl + segOverhead), Flags: flags}
-		g.Eng.After(t, func() { g.emit(hdr) })
+		after(g, t, func() { g.emit(hdr) })
 		seg++
 		if seg%2 == 0 || remaining <= mss {
 			ackAt := t + g.rtt(c.Peer)/2
-			g.Eng.After(ackAt, func() {
+			after(g, ackAt, func() {
 				g.emit(packet.Header{Key: ackKey, Size: packet.ACKSize, Flags: packet.FlagACK})
 			})
 		}
@@ -302,12 +306,12 @@ func TestMessageMatchesClosureSchedule(t *testing.T) {
 			c := conns[g.R.Intn(len(conns))]
 			msg(c, g.R.Intn(9000), g.R.Intn(2) == 0)
 			// Coarse times: ties with the train's own segments and ACKs.
-			g.Eng.After(netsim.Time(g.R.Intn(4))*2000, func() {
+			after(g, netsim.Time(g.R.Intn(4))*2000, func() {
 				g.Emit(packet.Header{Key: c.Key, Size: 99})
 			})
 			if g.R.Intn(10) == 0 {
 				hc := g.NewConn(topology.HostID(g.R.Intn(topo.NumHosts())), 80, true)
-				g.Eng.After(netsim.Time(g.R.Intn(3))*1000, func() {
+				after(g, netsim.Time(g.R.Intn(3))*1000, func() {
 					msg(hc, g.R.Intn(3000), false)
 					hc.Close()
 				})
@@ -326,6 +330,128 @@ func TestMessageMatchesClosureSchedule(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("packet %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// closurePoisson is Gen.Poisson as it was before typed events: each
+// tick a closure that runs fn and schedules the next.
+func (g *Gen) closurePoisson(ratePerSec float64, fn func()) {
+	if ratePerSec <= 0 {
+		return
+	}
+	mean := float64(netsim.Second) / ratePerSec
+	var tick func()
+	tick = func() {
+		fn()
+		after(g, netsim.Time(g.R.Exp()*mean), tick)
+	}
+	after(g, netsim.Time(g.R.Exp()*mean), tick)
+}
+
+// closureConn is NewConn or NewInboundConn with a handshake, its
+// completion scheduled as a closure.
+func (g *Gen) closureConn(peer topology.HostID, port uint16, inbound bool) *Conn {
+	if inbound {
+		c := g.NewInboundConn(peer, port, false)
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: 74, Flags: packet.FlagSYN})
+		g.emit(packet.Header{Key: c.Key, Size: 74, Flags: packet.FlagSYN | packet.FlagACK})
+		after(g, g.rtt(peer), func() {
+			g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagACK})
+		})
+		return c
+	}
+	c := g.NewConn(peer, port, false)
+	g.emit(packet.Header{Key: c.Key, Size: 74, Flags: packet.FlagSYN})
+	after(g, g.rtt(peer), func() {
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: 74, Flags: packet.FlagSYN | packet.FlagACK})
+		g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
+	})
+	return c
+}
+
+// closureClose is Close with the peer's FIN scheduled as a closure.
+func (c *Conn) closureClose() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	g := c.g
+	g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagFIN | packet.FlagACK})
+	after(g, g.rtt(c.Peer), func() {
+		g.emit(packet.Header{Key: c.Key.Reverse(), Size: packet.ACKSize, Flags: packet.FlagFIN | packet.FlagACK})
+		g.emit(packet.Header{Key: c.Key, Size: packet.ACKSize, Flags: packet.FlagACK})
+	})
+}
+
+// TestGenEventsMatchClosureSchedule runs one program twice, once with
+// the Gen's typed events (Poisson loops, handshakes, FIN exchanges,
+// CloseAfter) and once with their closure forms, and requires identical
+// streams and the same number of random draws (the generators end in the
+// same state). Three Poisson loops at different rates tie with
+// handshakes, closes and coarse-time closures; a Reset between two runs
+// must give the stream of a fresh Gen.
+func TestGenEventsMatchClosureSchedule(t *testing.T) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+	program := func(g *Gen, closures bool) {
+		poisson, conn := g.Poisson, func(peer topology.HostID, port uint16, in bool) *Conn {
+			if in {
+				return g.NewInboundConn(peer, port, true)
+			}
+			return g.NewConn(peer, port, true)
+		}
+		closeAfter := func(c *Conn, d netsim.Time) { c.CloseAfter(d) }
+		if closures {
+			poisson, conn = g.closurePoisson, g.closureConn
+			closeAfter = func(c *Conn, d netsim.Time) { after(g, d, c.closureClose) }
+		}
+		pool := []*Conn{g.NewConn(5, 11211, false), g.NewInboundConn(9, 80, false)}
+		poisson(2000, func() {
+			c := pool[g.R.Intn(len(pool))]
+			c.SendMsg(g.R.Intn(4000))
+			after(g, netsim.Time(g.R.Intn(3))*1000, func() { g.Emit(packet.Header{Key: c.Key, Size: 99}) })
+		})
+		poisson(700, func() {
+			c := conn(topology.HostID(g.R.Intn(topo.NumHosts())), 80, g.R.Bool(0.5))
+			c.RecvMsg(g.R.Intn(2000))
+			closeAfter(c, netsim.Time(g.R.Intn(3))*40*netsim.Microsecond)
+		})
+		poisson(300, func() {
+			c := conn(topology.HostID(g.R.Intn(topo.NumHosts())), 443, false)
+			if closures {
+				c.closureClose()
+			} else {
+				c.Close()
+			}
+		})
+		poisson(0, func() { t.Fatal("zero-rate loop ran") })
+	}
+	gen := func(g *Gen, closures bool) ([]packet.Header, Gen) {
+		cap := &capture{}
+		g.Reset(3, 11, cap)
+		program(g, closures)
+		g.Run(netsim.Second / 2)
+		return cap.hdrs, *g
+	}
+	reused := NewGen(topo, 0, 1, &capture{})
+	reused.Poisson(5000, func() { reused.NewConn(7, 80, true).CloseAfter(netsim.Millisecond) })
+	reused.Run(netsim.Second / 10)
+	for _, g := range []*Gen{NewGen(topo, 0, 1, &capture{}), reused} {
+		want, wantG := gen(NewGen(topo, 0, 1, &capture{}), true)
+		got, gotG := gen(g, false)
+		if len(want) < 5000 {
+			t.Fatalf("program too light: %d packets", len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d packets, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("packet %d: %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		if *gotG.R != *wantG.R || gotG.nextPort != wantG.nextPort || gotG.Eng.Now() != wantG.Eng.Now() {
+			t.Fatal("generators end in different states")
 		}
 	}
 }
