@@ -29,7 +29,13 @@ func splitmix64(x *uint64) uint64 {
 
 // New returns a Source seeded deterministically from seed.
 func New(seed uint64) *Source {
-	var r Source
+	r := new(Source)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream New(seed) returns.
+func (r *Source) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -39,7 +45,6 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return &r
 }
 
 // NewKeyed returns a Source whose stream is a pure function of the
