@@ -165,7 +165,9 @@ func GenerateAllToAll(topo *topology.Topology, host topology.HostID, seed uint64
 	g := workload.NewGen(topo, host, seed, sink)
 	n := topo.NumHosts()
 	srcAddr := topo.Addr(host)
-	g.Poisson(p.PacketsPerSec, func() {
+	// The model's one event kind: send a packet.
+	const kindPacket = workload.KindModel
+	g.SetModelHandler(func(netsim.Event) {
 		dst := topology.HostID(g.R.Intn(n))
 		for dst == host {
 			dst = topology.HostID(g.R.Intn(n))
@@ -178,6 +180,7 @@ func GenerateAllToAll(topo *topology.Topology, host topology.HostID, seed uint64
 			Size: p.PacketBytes,
 		})
 	})
+	g.Poisson(p.PacketsPerSec, netsim.Event{Kind: kindPacket})
 	g.Run(dur)
 	return g.Emitted()
 }
