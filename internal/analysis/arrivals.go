@@ -12,6 +12,7 @@ import (
 // the sorted sample only when asked.
 type PacketSizes struct {
 	counts []int64       // counts[s] packets of s bytes
+	n      int           // packets in counts
 	sample *stats.Sample // built by Sample; nil once more packets arrive
 }
 
@@ -29,13 +30,14 @@ func (ps *PacketSizes) Packets(hs []packet.Header) {
 		}
 		ps.counts[h.Size]++
 	}
+	ps.n += len(hs)
 	ps.sample = nil
 }
 
 // Sample returns the size distribution in bytes, in ascending order.
 func (ps *PacketSizes) Sample() *stats.Sample {
 	if ps.sample == nil {
-		ps.sample = stats.NewSample(0)
+		ps.sample = stats.NewSample(ps.n)
 		for size, c := range ps.counts {
 			for ; c > 0; c-- {
 				ps.sample.Add(float64(size))

@@ -167,7 +167,7 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 
 	// One shared synthesized window of the rack's traffic, at elevated
 	// load so the sweep reaches drop onset within laptop-scale rates.
-	streams := s.rackMirror([]int{rack}, netsim.Time(seconds)*netsim.Second, s.Cfg.Params.Scaled(6), 0xc0de)
+	streams := s.rackMirror(nil, []int{rack}, netsim.Time(seconds)*netsim.Second, s.Cfg.Params.Scaled(6), 0xc0de)
 	return s.oversubSweep(role, rack, streams, factors, seconds)
 }
 

@@ -78,7 +78,7 @@ func (s *System) degradedStreams() [][]packet.Header {
 		horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
 		webRack := s.Topo.HostRack(s.Monitored(topology.RoleWeb))
 		cacheRack := s.Topo.HostRack(s.Monitored(topology.RoleCacheFollower))
-		s.degradedWork = s.rackMirror([]int{webRack, cacheRack}, horizon, s.Cfg.Params, 0xfa17<<24)
+		s.degradedWork = s.rackMirror(nil, []int{webRack, cacheRack}, horizon, s.Cfg.Params, 0xfa17<<24)
 		for _, hdrs := range s.degradedWork {
 			for _, h := range hdrs {
 				if h.Key.Src == h.Key.Dst {

@@ -77,6 +77,7 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 	res := &Figure15Result{}
 	winDur := netsim.Time(cfg.WindowSec) * netsim.Second
 	var prevWebDrops, prevCacheDrops int64
+	var streams [][]packet.Header
 
 	for w := 0; w < cfg.Windows; w++ {
 		load := DiurnalFactor(float64(w) / float64(cfg.Windows))
@@ -86,7 +87,8 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 
 		// Synthesize each rack host's mirror stream for this window and
 		// inject the streams, shifted to the window's start.
-		fabric.InjectStreams(s.rackMirror([]int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w)), start)
+		streams = s.rackMirror(streams, []int{webRack, cacheRack}, winDur, params, 0xf15<<20^uint64(w))
+		fabric.InjectStreams(streams, start)
 
 		// Reset edge counters so per-window utilization is clean.
 		for _, l := range fabric.LinksByTier(netsim.TierHostRSW) {
@@ -117,9 +119,11 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 // stable time sort of their concatenation would give. Host h's trace is
 // seeded Seed ^ salt ^ h<<8; each experiment passes its own salt.
 // One Trace, reset for each host, generates every stream, so the hosts
-// share one engine and its queues.
-func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params, salt uint64) [][]packet.Header {
-	var streams [][]packet.Header
+// share one engine and its queues. The streams are appended to reuse's
+// slices, truncated: a caller may pass back a window's streams once the
+// engine run that reads them has ended.
+func (s *System) rackMirror(reuse [][]packet.Header, racks []int, dur netsim.Time, params services.Params, salt uint64) [][]packet.Header {
+	streams := reuse[:0]
 	var hdrs []packet.Header
 	collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
 	var tr *services.Trace
@@ -127,7 +131,9 @@ func (s *System) rackMirror(racks []int, dur netsim.Time, params services.Params
 		rk := &s.Topo.Racks[rack]
 		for i := 0; i < int(rk.NumHosts); i++ {
 			h := rk.Host(i)
-			hdrs = nil
+			if hdrs = nil; len(streams) < len(reuse) {
+				hdrs = reuse[len(streams)][:0]
+			}
 			if seed := s.Cfg.Seed ^ salt ^ uint64(h)<<8; tr == nil {
 				tr = services.NewTrace(s.Pick, h, seed, params, collect)
 			} else {

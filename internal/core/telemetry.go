@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"fbdcnet/internal/netsim"
+	"fbdcnet/internal/packet"
 	"fbdcnet/internal/render"
 	"fbdcnet/internal/telemetry"
 	"fbdcnet/internal/topology"
@@ -157,8 +158,9 @@ func (s *System) runTelemetry() *TelemetryResult {
 		prog.Set(int64(i + 1))
 	})
 	var mu sync.Mutex
-	runParallel(s.Cfg.Workers(), n, func(i int) {
-		sink := s.runTelemetryWindow(tcfg, res.Arms[i/tcfg.Windows].Role, i%tcfg.Windows, pool)
+	streams := make([][][]packet.Header, s.Cfg.Workers()) // each worker's last window
+	runParallelWorkers(s.Cfg.Workers(), n, func(worker, i int) {
+		sink := s.runTelemetryWindow(tcfg, res.Arms[i/tcfg.Windows].Role, i%tcfg.Windows, pool, &streams[worker])
 		mu.Lock()
 		defer mu.Unlock()
 		front.park(i, sink)
@@ -181,8 +183,9 @@ func (s *System) runTelemetry() *TelemetryResult {
 // a fresh fabric with a telemetry sink attached and every port's queue
 // sampled on the fixed interval. When a fault scenario is configured the
 // same schedule runs inside each window, so path records exercise the
-// fault reason codes.
-func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w int, pool *telemetry.BufferPool) *telemetry.Sink {
+// fault reason codes. The window's mirror streams reuse *streams, and
+// are left there for the worker's next window.
+func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w int, pool *telemetry.BufferPool, streams *[][]packet.Header) *telemetry.Sink {
 	eng := &netsim.Engine{}
 	fcfg := netsim.DefaultFabricConfig()
 	fcfg.RSWBufBytes = tcfg.BufBytes
@@ -203,7 +206,8 @@ func (s *System) runTelemetryWindow(tcfg TelemetryConfig, role topology.Role, w 
 
 	load := DiurnalFactor(float64(w) / float64(tcfg.Windows))
 	params := s.Cfg.Params.Scaled(load * tcfg.LoadBoost)
-	fab.InjectStreams(s.rackMirror([]int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w)), 0)
+	*streams = s.rackMirror(*streams, []int{s.Topo.HostRack(focus)}, winDur, params, 0x7e1e<<24^uint64(w))
+	fab.InjectStreams(*streams, 0)
 	fab.StartQueueSampling(tcfg.Interval, winDur)
 	eng.Run(winDur + faultDrainGrace)
 	s.foldFabricStats(fab)
