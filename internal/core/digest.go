@@ -131,10 +131,10 @@ func (s *System) FleetDigest() *FleetDigest {
 	}
 
 	if hs := s.Topo.ClustersOfType(topology.ClusterHadoop); len(hs) > 0 {
-		d.HadoopDiag = matrixDiag(ds.RackMatrix(s.Topo, hs[0]))
+		d.HadoopDiag = ds.RackDiag(s.Topo, hs[0])
 	}
 	if fs := s.Topo.ClustersOfType(topology.ClusterFrontend); len(fs) > 0 {
-		d.FrontendDiag = matrixDiag(ds.RackMatrix(s.Topo, fs[0]))
+		d.FrontendDiag = ds.RackDiag(s.Topo, fs[0])
 	}
 	if card := ds.Cardinality(); card != nil {
 		d.DistinctFlows = card.Flows()

@@ -218,8 +218,68 @@ func (d *Dataset) RackMatrix(topo *topology.Topology, cluster int) [][]float64 {
 	defer d.mu.Unlock()
 	racks := topo.Clusters[cluster].Racks
 	m := make([][]float64, len(racks))
+	for i := range m {
+		m[i] = make([]float64, len(racks))
+	}
+	d.eachClusterRow(racks, func(si int, row []rackCell) {
+		for _, c := range row {
+			m[si][c.pos] += c.bytes
+		}
+	})
+	return m
+}
+
+// RackDiag returns the byte fraction on the diagonal of RackMatrix(topo,
+// cluster), 0 when the cluster carries no bytes, without building the
+// n² matrix: each source row is scattered into one reused dense row and
+// read back through its presence bits. That adds the entries in
+// RackMatrix's row-major order (source rows in cluster order, each
+// row's columns ascending), and the zeros it skips add nothing, so the
+// result is bit-identical to summing the dense matrix.
+func (d *Dataset) RackDiag(topo *topology.Topology, cluster int) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	racks := topo.Clusters[cluster].Racks
+	row := make([]float64, len(racks))
+	set := make([]uint64, (len(racks)+63)/64)
+	var diag, total float64
+	d.eachClusterRow(racks, func(si int, cells []rackCell) {
+		for _, c := range cells {
+			row[c.pos] += c.bytes
+			set[c.pos>>6] |= 1 << (c.pos & 63)
+		}
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				di := w<<6 | bits.TrailingZeros64(word)
+				total += row[di]
+				if di == si {
+					diag += row[di]
+				}
+				row[di] = 0
+			}
+			set[w] = 0
+		}
+	})
+	if total == 0 {
+		return 0
+	}
+	return diag / total
+}
+
+// rackCell is one entry of a cluster's rack matrix row: the destination
+// rack's position in the cluster and the bytes sent to it.
+type rackCell struct {
+	pos   int32
+	bytes float64
+}
+
+// eachClusterRow calls f for every source rack of racks (one cluster's,
+// in cluster order) that has a row, with its position si and the row's
+// destinations inside the cluster, in insertion order. The row slice is
+// reused across calls.
+func (d *Dataset) eachClusterRow(racks []int, f func(si int, row []rackCell)) {
 	if len(racks) == 0 {
-		return m
+		return
 	}
 	lo, hi := racks[0], racks[0]
 	for _, r := range racks {
@@ -233,24 +293,25 @@ func (d *Dataset) RackMatrix(topo *topology.Topology, cluster int) [][]float64 {
 	}
 	for i, r := range racks {
 		pos[r-lo] = int32(i)
-		m[i] = make([]float64, len(racks))
 	}
+	var row []rackCell
 	for si, r := range racks {
 		if r >= len(d.rackPair) {
 			continue
 		}
-		row := &d.rackPair[r]
-		for j := 0; j < row.Len(); j++ {
-			dst := int(row.Key(j))
+		t := &d.rackPair[r]
+		row = row[:0]
+		for j := 0; j < t.Len(); j++ {
+			dst := int(t.Key(j))
 			if dst < lo || dst > hi {
 				continue
 			}
 			if di := pos[dst-lo]; di >= 0 {
-				m[si][di] += *row.Val(j)
+				row = append(row, rackCell{di, *t.Val(j)})
 			}
 		}
+		f(si, row)
 	}
-	return m
 }
 
 // ClusterMatrix returns the cluster-to-cluster byte matrix over the given

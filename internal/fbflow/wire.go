@@ -63,6 +63,9 @@ func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, 
 		return nil, fmt.Errorf("fbflow: partial wire: %s truncated: %d entries need %d bytes, have %d",
 			name, n, 16*n, len(data))
 	}
+	// The length check above bounds n by the frame size, so the one
+	// allocation is too.
+	t.Reserve(n)
 	for i := 0; i < n; i++ {
 		k := binary.LittleEndian.Uint64(data)
 		if k == ^uint64(0) {

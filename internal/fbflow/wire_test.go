@@ -3,6 +3,7 @@ package fbflow
 import (
 	"testing"
 
+	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/rng"
 	"fbdcnet/internal/topology"
 )
@@ -146,5 +147,35 @@ func TestPartialWireSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("steady-state decode allocates %v/op", n)
+	}
+}
+
+// TestPartialWireDecodeReserves: decoding into a fresh Partial sizes
+// each table once from its declared count, so no table rehashes while
+// it fills (the encoding side, filled by Add, rehashed many times).
+func TestPartialWireDecodeReserves(t *testing.T) {
+	p := NewPartial()
+	fillPartial(t, p, 13, 4096)
+	got := NewPartial()
+	if err := got.DecodeBinary(p.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	tables := func(p *Partial) map[string]*openhash.Table[float64] {
+		return map[string]*openhash.Table[float64]{
+			"rackPair": &p.rackPair, "clusterPair": &p.clusterPair, "perMinute": &p.perMinute,
+			"hostOut": &p.hostOut, "rackCross": &p.rackCross, "clusterCross": &p.clusterCross,
+		}
+	}
+	src := tables(p)
+	for name, tb := range tables(got) {
+		if tb.Len() != src[name].Len() {
+			t.Fatalf("%s: %d entries decoded, %d encoded", name, tb.Len(), src[name].Len())
+		}
+		if tb.Grows() != 0 {
+			t.Errorf("%s: %d rehashes while decoding %d entries, want 0", name, tb.Grows(), tb.Len())
+		}
+	}
+	if src["rackPair"].Grows() == 0 {
+		t.Fatal("the encoded rackPair table never grew; the check is vacuous")
 	}
 }

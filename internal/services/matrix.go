@@ -48,17 +48,18 @@ func packPair(a, b int32) uint64 {
 }
 
 // DemandMatrix accumulates one task's rack-to-rack demand plus the
-// packing residuals. Both tables keep their backing arrays across Reset,
-// so a matrix reused window after window performs zero steady-state
+// packing residuals. Both keep their backing arrays across Reset, so a
+// matrix reused window after window performs zero steady-state
 // allocations (the pooling contract of fbflow.Partial).
 type DemandMatrix struct {
 	// cells maps packPair(srcRack, dstRack) -> bytes.
 	cells openhash.Table[float64]
-	// residual maps packPair(role, dstRack) -> remaining capacity in
-	// host units. Keyed by (role, rack) rather than rack alone so the
-	// key layout matches the packed-pair convention of the analysis
-	// tables even though a rack hosts exactly one role.
-	residual openhash.Table[float64]
+	// residual[rack] is the rack's remaining packing capacity in host
+	// units, 0 until packing first touches it in this window; touched
+	// lists those racks, for Reset. A rack hosts exactly one role, so
+	// the rack alone keys it.
+	residual []float64
+	touched  []int32
 }
 
 // NewDemandMatrix returns an empty matrix.
@@ -68,7 +69,10 @@ func NewDemandMatrix() *DemandMatrix { return &DemandMatrix{} }
 // their backing arrays.
 func (m *DemandMatrix) Reset() {
 	m.cells.Reset()
-	m.residual.Reset()
+	for _, rid := range m.touched {
+		m.residual[rid] = 0
+	}
+	m.touched = m.touched[:0]
 }
 
 // Cells reports the number of non-zero (src rack, dst rack) entries.
@@ -159,28 +163,16 @@ func (mp *MatrixProgram) resolve(scope dstScope, role topology.Role, srcRack *to
 }
 
 // drawRack picks one destination rack index (into RoleRacks) from the
-// range, weighted by rack host counts via the role's prefix sums.
+// range, weighted by rack host counts: a uniform host position of the
+// range, mapped to its rack by the topology's position lookup.
 func (mp *MatrixProgram) drawRack(r *rng.Source, rr *rackRange) int {
 	cum := mp.pk.Topo.RoleCum(rr.role)
 	u := int32(r.Uint64n(uint64(rr.totalHosts())))
-	var pos int32
-	lo, hi := rr.lo1, rr.hi1
-	if u < rr.hosts1 {
-		pos = cum[rr.lo1] + u
-	} else {
+	pos := cum[rr.lo1] + u
+	if u >= rr.hosts1 {
 		pos = cum[rr.lo2] + (u - rr.hosts1)
-		lo, hi = rr.lo2, rr.hi2
 	}
-	// Binary search: greatest j in [lo, hi) with cum[j] <= pos.
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] <= pos {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return mp.pk.Topo.RoleRackAt(rr.role, pos)
 }
 
 // packTerm distributes total bytes from srcRack across up to matrixFanout
@@ -198,6 +190,10 @@ func (mp *MatrixProgram) packTerm(r *rng.Source, srcRack *topology.Rack, scope d
 	}
 	topo := mp.pk.Topo
 	racks := topo.RoleRacks(rr.role)
+	if len(m.residual) < len(topo.Racks) {
+		m.residual = append(m.residual, make([]float64, len(topo.Racks)-len(m.residual))...)
+	}
+	uniform := float64(topo.RoleHostsPerRack(rr.role))
 
 	var cand [2 * matrixFanout]int32
 	var res [2 * matrixFanout]float64
@@ -214,8 +210,14 @@ propose:
 				continue propose
 			}
 		}
-		capacity := float64(topo.Racks[rid].NumHosts)
-		slot := m.residual.Slot(packPair(int32(rr.role), rid))
+		capacity := uniform
+		if capacity == 0 {
+			capacity = float64(topo.Racks[rid].NumHosts)
+		}
+		slot := &m.residual[rid]
+		if *slot == 0 {
+			m.touched = append(m.touched, rid)
+		}
 		if *slot == 0 || *slot < capacity*matrixRenewFrac {
 			*slot = capacity
 		}
@@ -249,7 +251,7 @@ propose:
 	}
 	// Batched residual update: decay every selected rack once.
 	for i := 0; i < n; i++ {
-		*m.residual.Slot(packPair(int32(rr.role), cand[i])) = res[i] * matrixDrain
+		m.residual[cand[i]] = res[i] * matrixDrain
 	}
 }
 

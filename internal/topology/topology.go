@@ -219,12 +219,15 @@ type Topology struct {
 	// likewise, roleClusterOff[r][c] / roleDCOff[r][d] delimit the
 	// subranges of roleRacks[r] belonging to cluster c / datacenter d.
 	// roleHPR[r] is the host count every rack of role r shares, or 0 when
-	// their sizes differ (or the role has no racks).
+	// their sizes differ (or the role has no racks). roleBase[r][j] is
+	// the FirstHost of rack roleRacks[r][j] minus roleCum[r][j], so
+	// position p in that rack is host roleBase[r][j] + p.
 	roleRacks      [numRoles][]int32
 	roleCum        [numRoles][]int32
 	roleClusterOff [numRoles][]int32
 	roleDCOff      [numRoles][]int32
 	roleHPR        [numRoles]int32
+	roleBase       [numRoles][]HostID
 }
 
 // NumHosts returns the fleet size.
@@ -312,20 +315,7 @@ func (s HostSet) Len() int { return int(s.n) }
 // At returns the i-th host of the set.
 func (s HostSet) At(i int) HostID {
 	pos := s.start + int32(i)
-	if u := s.t.roleHPR[s.role]; u > 0 {
-		return s.t.Racks[s.t.roleRacks[s.role][pos/u]].FirstHost + HostID(pos%u)
-	}
-	cum := s.t.roleCum[s.role]
-	lo, hi := 0, len(cum)-1 // invariant: cum[lo] <= pos < cum[hi]
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] <= pos {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return s.t.Racks[s.t.roleRacks[s.role][lo]].FirstHost + HostID(pos-cum[lo])
+	return s.t.roleBase[s.role][s.t.RoleRackAt(s.role, pos)] + HostID(pos)
 }
 
 // Slice returns the subset covering positions [lo, hi) of the set.
@@ -370,6 +360,41 @@ func (t *Topology) RoleRacks(r Role) []int32 { return t.roleRacks[r] }
 // j-th. Its length is len(RoleRacks(r))+1; the final entry is the role's
 // fleet-wide host count. The slice is owned by the topology.
 func (t *Topology) RoleCum(r Role) []int32 { return t.roleCum[r] }
+
+// RoleRackAt returns the index j into RoleRacks(r) of the rack holding
+// position pos of role r's host order: the j with RoleCum(r)[j] <= pos <
+// RoleCum(r)[j+1]. When every rack of the role holds the same number of
+// hosts (as in every preset) that is a division; otherwise a binary
+// search over RoleCum(r).
+func (t *Topology) RoleRackAt(r Role, pos int32) int {
+	if u := t.roleHPR[r]; u > 0 {
+		return int(pos / u)
+	}
+	return t.roleRackSearch(r, pos)
+}
+
+// roleRackSearch is RoleRackAt's path for roles with mixed rack sizes.
+// It stays out of line so that RoleRackAt inlines, and with it the
+// uniform path of HostSet.At.
+//
+//go:noinline
+func (t *Topology) roleRackSearch(r Role, pos int32) int {
+	cum := t.roleCum[r]
+	lo, hi := 0, len(cum)-1 // invariant: cum[lo] <= pos < cum[hi]
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid] <= pos {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// RoleHostsPerRack returns the host count every rack of role r shares,
+// or 0 when their sizes differ or the role has no racks.
+func (t *Topology) RoleHostsPerRack(r Role) int32 { return t.roleHPR[r] }
 
 // RoleRackRangeInCluster returns the subrange [lo, hi) of RoleRacks(r)
 // whose racks belong to cluster c.
@@ -552,19 +577,22 @@ func Build(cfg Config) (*Topology, error) {
 	return t, nil
 }
 
-// buildRoleIndex derives the role prefix sums, shared rack sizes and
-// cluster/datacenter subrange offsets from roleRacks. It relies on two
-// Build invariants: rack IDs are assigned in cluster order (so each
-// role's rack list is partitioned into contiguous per-cluster runs) and
-// cluster IDs in datacenter order (likewise per-datacenter runs).
+// buildRoleIndex derives the role prefix sums, shared rack sizes, rack
+// host bases and cluster/datacenter subrange offsets from roleRacks. It
+// relies on two Build invariants: rack IDs are assigned in cluster order
+// (so each role's rack list is partitioned into contiguous per-cluster
+// runs) and cluster IDs in datacenter order (likewise per-datacenter
+// runs).
 func (t *Topology) buildRoleIndex() {
 	for role := Role(0); role < numRoles; role++ {
 		rr := t.roleRacks[role]
 		cum := make([]int32, len(rr)+1)
+		base := make([]HostID, len(rr))
 		hpr := int32(0)
 		for j, rid := range rr {
 			n := t.Racks[rid].NumHosts
 			cum[j+1] = cum[j] + n
+			base[j] = t.Racks[rid].FirstHost - HostID(cum[j])
 			switch {
 			case j == 0:
 				hpr = n
@@ -573,6 +601,7 @@ func (t *Topology) buildRoleIndex() {
 			}
 		}
 		t.roleCum[role] = cum
+		t.roleBase[role] = base
 		t.roleHPR[role] = max(hpr, 0)
 
 		cOff := make([]int32, len(t.Clusters)+1)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -428,5 +429,30 @@ func TestRoleRackSize(t *testing.T) {
 	}
 	if mixed == 0 {
 		t.Fatal("no role mixes rack sizes; the binary-search path goes untested")
+	}
+}
+
+// TestRoleRackAtMatchesSearch: for every role and every position of its
+// host order, RoleRackAt names the rack a reference binary search over
+// RoleCum finds, and HostSet.At the host at the position's offset in
+// that rack, on the presets (uniform racks, the division path) and on
+// the mixed config (the search path for its mixed roles).
+func TestRoleRackAtMatchesSearch(t *testing.T) {
+	for _, tc := range columnarCases() {
+		top := MustBuild(tc.cfg)
+		for _, role := range Roles {
+			cum, racks := top.RoleCum(role), top.RoleRacks(role)
+			set := top.RoleSet(role)
+			for pos := int32(0); pos < cum[len(cum)-1]; pos++ {
+				want := sort.Search(len(cum), func(j int) bool { return cum[j] > pos }) - 1
+				if got := top.RoleRackAt(role, pos); got != want {
+					t.Fatalf("%s %v position %d: RoleRackAt %d, reference %d", tc.name, role, pos, got, want)
+				}
+				host := top.Racks[racks[want]].FirstHost + HostID(pos-cum[want])
+				if got := set.At(int(pos)); got != host {
+					t.Fatalf("%s %v position %d: HostSet.At %d, reference %d", tc.name, role, pos, got, host)
+				}
+			}
+		}
 	}
 }
