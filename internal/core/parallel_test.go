@@ -62,31 +62,58 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestFleetDatasetWorkerInvariance pins the sharded collector directly:
-// identical aggregates whether one worker or eight drain the task grid.
+// identical aggregates whether one worker or eight drain the task grid,
+// in both collection modes. The small preset over two windows re-merges
+// every source rack's rack-pair row, and the Save archive and the
+// FleetDigest JSON compare every rack pair and every derived figure
+// byte for byte.
 func TestFleetDatasetWorkerInvariance(t *testing.T) {
-	var ref *System
-	for _, workers := range []int{1, 8} {
-		cfg := QuickConfig()
-		cfg.Taggers = workers
-		s := MustNewSystem(cfg)
-		ds := s.FleetDataset()
-		if workers == 1 {
-			ref = s
-			continue
-		}
-		refDS := ref.FleetDataset()
-		if got, want := ds.TotalBytes(), refDS.TotalBytes(); got != want {
-			t.Fatalf("total bytes %v at %d workers, want %v", got, workers, want)
-		}
-		a, b := ds.LocalityShareAll(), refDS.LocalityShareAll()
-		for _, l := range topology.Localities {
-			if a[l] != b[l] {
-				t.Fatalf("locality %v: %v at %d workers, want %v", l, a[l], workers, b[l])
+	for _, matrix := range []bool{false, true} {
+		var ref *System
+		var refArchive, refDigest []byte
+		for _, workers := range []int{1, 8} {
+			cfg := QuickConfig()
+			cfg.Scale = topology.ScaleSmall
+			cfg.FleetWindows = 2
+			cfg.FleetMatrix = matrix
+			cfg.Taggers = workers
+			s := MustNewSystem(cfg)
+			ds := s.FleetDataset()
+			var archive bytes.Buffer
+			if err := ds.Save(&archive); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for m, v := range ds.PerMinute() {
-			if w := refDS.PerMinute()[m]; v != w {
-				t.Fatalf("minute %d: %v at %d workers, want %v", m, v, workers, w)
+			digest, err := s.FleetDigest().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				ref, refArchive, refDigest = s, archive.Bytes(), digest
+				continue
+			}
+			refDS := ref.FleetDataset()
+			if got, want := ds.TotalBytes(), refDS.TotalBytes(); got != want {
+				t.Fatalf("matrix=%v: total bytes %v at %d workers, want %v", matrix, got, workers, want)
+			}
+			a, b := ds.LocalityShareAll(), refDS.LocalityShareAll()
+			for _, l := range topology.Localities {
+				if a[l] != b[l] {
+					t.Fatalf("matrix=%v: locality %v: %v at %d workers, want %v", matrix, l, a[l], workers, b[l])
+				}
+			}
+			for m, v := range ds.PerMinute() {
+				if w := refDS.PerMinute()[m]; v != w {
+					t.Fatalf("matrix=%v: minute %d: %v at %d workers, want %v", matrix, m, v, workers, w)
+				}
+			}
+			if !bytes.Equal(archive.Bytes(), refArchive) {
+				t.Fatalf("matrix=%v: Save archive at %d workers differs from 1 worker's", matrix, workers)
+			}
+			if !bytes.Equal(digest, refDigest) {
+				t.Fatalf("matrix=%v: FleetDigest at %d workers differs:\n%s\nvs\n%s", matrix, workers, digest, refDigest)
+			}
+			if len(ref.Topo.Racks) <= fleetMatrixShardRacks || s.fleetShardsPerWindow() < 2 {
+				t.Fatalf("matrix=%v: %d shards per window; rows are not split across cells", matrix, s.fleetShardsPerWindow())
 			}
 		}
 	}

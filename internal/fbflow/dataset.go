@@ -22,10 +22,11 @@ const (
 //
 // The layout is columnar, like Partial's: the enum-keyed aggregates are
 // dense arrays, the per-host/rack/cluster ones are ID-indexed vectors,
-// and only the sparse keys (cluster pairs, minutes, and the destinations
-// of each source rack) live in open-addressing tables. Every aggregate
-// keeps key presence apart from value, so a key added with zero bytes is
-// still reported and archived, exactly as a map entry would be.
+// the rack pairs are one compact row per source rack, and only the
+// sparse keys (cluster pairs and minutes) live in open-addressing
+// tables. Every aggregate keeps key presence apart from value, so a key
+// added with zero bytes is still reported and archived, exactly as a map
+// entry would be.
 type Dataset struct {
 	mu sync.Mutex
 
@@ -37,11 +38,11 @@ type Dataset struct {
 	localitySet      [numClusterTypes][numLocalities]bool
 	byClusterType    [numClusterTypes]float64
 	byClusterTypeSet [numClusterTypes]bool
-	// rackPair accumulates the Figure 5a/5b matrices as one row per
-	// source rack, keyed by destination rack. Millions of rack pairs in
-	// one table would miss cache on every insert; a row stays small, and
-	// RackMatrix reads only the rows of the cluster it is asked for.
-	rackPair []openhash.Table[float64]
+	// rackPair accumulates the Figure 5a/5b matrices as one compact row
+	// per source rack (rows.go), indexed by source rack: MergePartial
+	// copies or extends a row without hashing, and RackMatrix reads only
+	// the rows of the cluster it is asked for.
+	rackPair []rackRow
 	// clusterPair accumulates the Figure 5c matrix (src<<32 | dst).
 	clusterPair openhash.Table[float64]
 	// perMinute accumulates fleet bytes per capture minute (diurnal).
@@ -54,9 +55,9 @@ type Dataset struct {
 	// that built this dataset had cardinality enabled; nil otherwise.
 	card *Cardinality
 
-	// rowNew is MergePartial's scratch, parallel to rackPair: how many of
-	// the partial's keys land in each source rack's not-yet-built row.
-	rowNew []int32
+	// pos is MergePartial's dense position index over destination racks,
+	// all zero between merges (see mergeRow).
+	pos []int32
 }
 
 // NewDataset returns an empty Dataset.
@@ -116,23 +117,6 @@ func (d *Dataset) addLocality(ct, l int, b float64) {
 func (d *Dataset) addClusterType(ct int, b float64) {
 	d.byClusterType[ct] += b
 	d.byClusterTypeSet[ct] = true
-}
-
-// rackRow returns src's destination row, growing the row index.
-func (d *Dataset) rackRow(src int) *openhash.Table[float64] {
-	if src >= len(d.rackPair) {
-		n := max(src+1, 2*len(d.rackPair), 64)
-		rows := make([]openhash.Table[float64], n)
-		copy(rows, d.rackPair)
-		rowNew := make([]int32, n)
-		copy(rowNew, d.rowNew)
-		d.rackPair, d.rowNew = rows, rowNew
-	}
-	return &d.rackPair[src]
-}
-
-func (d *Dataset) addRackPair(src, dst int, b float64) {
-	*d.rackRow(src).Slot(uint64(dst)) += b
 }
 
 // Cardinality returns the merged distinct-population sketches, or nil
@@ -299,15 +283,14 @@ func (d *Dataset) eachClusterRow(racks []int, f func(si int, row []rackCell)) {
 		if r >= len(d.rackPair) {
 			continue
 		}
-		t := &d.rackPair[r]
+		src := &d.rackPair[r]
 		row = row[:0]
-		for j := 0; j < t.Len(); j++ {
-			dst := int(t.Key(j))
-			if dst < lo || dst > hi {
+		for j, dst := range src.dst {
+			if int(dst) < lo || int(dst) > hi {
 				continue
 			}
-			if di := pos[dst-lo]; di >= 0 {
-				row = append(row, rackCell{di, *t.Val(j)})
+			if di := pos[int(dst)-lo]; di >= 0 {
+				row = append(row, rackCell{di, src.val[j]})
 			}
 		}
 		f(si, row)

@@ -82,9 +82,13 @@ func (d *refDataset) mergePartial(p *Partial) {
 			d.byClusterType[topology.ClusterType(ct)] += b
 		}
 	}
-	p.rackPair.Range(func(k uint64, v *float64) {
-		d.rackPair[[2]int{int(int32(k >> 32)), int(int32(uint32(k)))}] += *v
-	})
+	p.seal()
+	for i := range p.rackPair.src {
+		src, dst, val := p.rackPair.row(i)
+		for j, k := range dst {
+			d.rackPair[[2]int{int(src), int(k)}] += val[j]
+		}
+	}
 	p.clusterPair.Range(func(k uint64, v *float64) {
 		d.clusterPair[[2]int{int(int32(k >> 32)), int(int32(uint32(k)))}] += *v
 	})
@@ -358,7 +362,7 @@ func TestDatasetMatchesMapReference(t *testing.T) {
 
 // TestDatasetRemergeAllocs pins the frontier's steady state: merging a
 // partial whose keys the dataset already holds allocates nothing, and a
-// partial's new rack rows are sized once up front, never regrown.
+// partial's new rack rows are copied at their exact size, never regrown.
 func TestDatasetRemergeAllocs(t *testing.T) {
 	topo := topology.MustBuild(topology.Preset(topology.ScaleSmall))
 	p := NewPartial()
@@ -368,10 +372,19 @@ func TestDatasetRemergeAllocs(t *testing.T) {
 	}
 	ds := NewDataset()
 	ds.MergePartial(p)
-	for src := range ds.rackPair {
-		if g := ds.rackPair[src].Grows(); g != 0 {
-			t.Fatalf("rack row %d regrew %d times on its first merge", src, g)
+	rows := 0
+	for src, row := range ds.rackPair {
+		if len(row.dst) == 0 {
+			continue
 		}
+		rows++
+		if cap(row.dst) != len(row.dst) || cap(row.val) != len(row.val) {
+			t.Fatalf("rack row %d: %d entries in capacity %d/%d after its first merge, want exact",
+				src, len(row.dst), cap(row.dst), cap(row.val))
+		}
+	}
+	if rows < 2 {
+		t.Fatalf("only %d rack rows merged; the check is vacuous", rows)
 	}
 	if a := testing.AllocsPerRun(20, func() { ds.MergePartial(p) }); a != 0 {
 		t.Fatalf("re-merge allocated %v times, want 0", a)
@@ -510,9 +523,10 @@ func tableKeys(t *openhash.Table[float64]) []uint64 {
 
 // checkPartialFolds asserts that p holds exactly what recs folded into
 // an empty partial would: every per-key sum bit for bit against the map
-// oracle, and every table's insertion order against the order in which
-// recs first touch each key. It also compares p table by table with a
-// fresh partial fed recs.
+// oracle, every table's insertion order and every rack-pair row's
+// destination order against the order in which recs first touch each
+// key. It also compares p table by table and row by row with a fresh
+// partial fed recs.
 func checkPartialFolds(t *testing.T, what string, p *Partial, recs []Record) {
 	t.Helper()
 	want, got := newRefDataset(), newRefDataset()
@@ -552,20 +566,21 @@ func checkPartialFolds(t *testing.T, what string, p *Partial, recs []Record) {
 	sameMap(t, what+" hostOut", got.hostOut, want.hostOut)
 	sameMap(t, what+" rackCross", got.rackCross, want.rackCross)
 	sameMap(t, what+" clusterCross", got.clusterCross, want.clusterCross)
+	sameRows(t, what+" rackPair", rowsBySource(t, p), keysBySource(order[0]))
+	sameRows(t, what+" rackPair against a fresh partial", rowsBySource(t, p), rowsBySource(t, fresh))
 	for i, c := range []struct {
 		name      string
 		got, have *openhash.Table[float64]
 	}{
-		{"rackPair", &p.rackPair, &fresh.rackPair},
 		{"clusterPair", &p.clusterPair, &fresh.clusterPair},
 		{"perMinute", &p.perMinute, &fresh.perMinute},
 		{"hostOut", &p.hostOut, &fresh.hostOut},
 		{"rackCross", &p.rackCross, &fresh.rackCross},
 		{"clusterCross", &p.clusterCross, &fresh.clusterCross},
 	} {
-		keys := tableKeys(c.got)
-		if fmt.Sprint(keys) != fmt.Sprint(order[i]) {
-			t.Fatalf("%s %s: insertion order %v, want %v", what, c.name, keys, order[i])
+		keys, want := tableKeys(c.got), order[i+1]
+		if fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("%s %s: insertion order %v, want %v", what, c.name, keys, want)
 		}
 		if fmt.Sprint(keys) != fmt.Sprint(tableKeys(c.have)) {
 			t.Fatalf("%s %s: insertion order differs from a fresh partial's", what, c.name)

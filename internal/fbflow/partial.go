@@ -2,14 +2,16 @@ package fbflow
 
 import (
 	"fmt"
+	"slices"
 
 	"fbdcnet/internal/openhash"
 	"fbdcnet/internal/topology"
 )
 
 // Partial is a shard-local columnar accumulator for the parallel fleet
-// collector: the same aggregates a Dataset holds, in fixed arrays and
-// open-addressing tables, for one (window, shard) cell. A Partial is
+// collector: the same aggregates a Dataset holds, in fixed arrays,
+// rack-pair rows and open-addressing tables, for one (window, shard)
+// cell. A Partial is
 // single-goroutine (no mutex — each collection task owns one), reusable
 // via Reset, and folded into the shared Dataset with MergePartial.
 //
@@ -27,11 +29,17 @@ type Partial struct {
 	locality      [numClusterTypes][numLocalities]float64
 	byClusterType [numClusterTypes]float64
 
-	// Pair and sparse-key aggregates live in packed-key tables. Rack,
-	// cluster, and minute indexes all fit in 32 bits by construction
-	// (bounded by fleet size and windows), so two of them pack into one
-	// uint64 without collision.
-	rackPair     openhash.Table[float64] // src<<32 | dst
+	// rackPair holds the rack-pair sums as rows, one per source rack
+	// (rows.go). open is the scratch of the row Add is building, nil when
+	// no row is open, and openSrc is that row's source rack.
+	rackPair rackRows
+	open     *rowScratch
+	openSrc  int32
+
+	// The other pair and sparse-key aggregates live in packed-key tables.
+	// Cluster and minute indexes fit in 32 bits by construction (bounded
+	// by fleet size and windows), so two of them pack into one uint64
+	// without collision.
 	clusterPair  openhash.Table[float64] // src<<32 | dst
 	perMinute    openhash.Table[float64] // uint64(minute)
 	hostOut      openhash.Table[float64] // uint64(HostID)
@@ -92,7 +100,7 @@ func (p *Partial) Add(r Record) {
 	p.totalBytes += r.Bytes
 	p.locality[r.SrcClusterType][r.Locality] += r.Bytes
 	p.byClusterType[r.SrcClusterType] += r.Bytes
-	*p.rackPair.Slot(packPair(r.SrcRack, r.DstRack)) += r.Bytes
+	p.addRackPair(r.SrcRack, r.DstRack, r.Bytes)
 	*p.clusterPair.Slot(packPair(r.SrcCluster, r.DstCluster)) += r.Bytes
 	*p.minuteMemo.in(&p.perMinute, uint64(r.Minute)) += r.Bytes
 	*p.hostMemo.in(&p.hostOut, uint64(r.Src)) += r.Bytes
@@ -107,13 +115,14 @@ func (p *Partial) Add(r Record) {
 	}
 }
 
-// Reset clears every aggregate while keeping table capacity, so a pooled
-// Partial's steady-state Add path allocates nothing.
+// Reset clears every aggregate while keeping table and row capacity, so
+// a pooled Partial's steady-state Add path allocates nothing.
 func (p *Partial) Reset() {
 	p.totalBytes = 0
 	p.locality = [numClusterTypes][numLocalities]float64{}
 	p.byClusterType = [numClusterTypes]float64{}
-	p.rackPair.Reset()
+	p.seal()
+	p.rackPair.reset()
 	p.clusterPair.Reset()
 	p.perMinute.Reset()
 	p.hostOut.Reset()
@@ -131,13 +140,22 @@ func (p *Partial) Reset() {
 // check before MergePartial: a corrupt key would otherwise index out of
 // range or drive a multi-GiB grow. The error names the table and key.
 func (p *Partial) CheckIDs(hosts, racks, clusters int) error {
+	p.seal()
+	rows := &p.rackPair
+	for i := range rows.src {
+		src, dst, _ := rows.row(i)
+		for _, d := range dst {
+			if src < 0 || int(src) >= racks || d < 0 || int(d) >= racks {
+				return fmt.Errorf("fbflow: partial rackPair key (%d,%d) outside %d IDs", src, d, racks)
+			}
+		}
+	}
 	for _, c := range [...]struct {
 		name string
 		t    *openhash.Table[float64]
 		n    int
 		pair bool
 	}{
-		{"rackPair", &p.rackPair, racks, true},
 		{"clusterPair", &p.clusterPair, clusters, true},
 		{"hostOut", &p.hostOut, hosts, false},
 		{"rackCross", &p.rackCross, racks, false},
@@ -157,8 +175,8 @@ func (p *Partial) CheckIDs(hosts, racks, clusters int) error {
 	return nil
 }
 
-// MergePartial folds a cell's Partial into d: every table entry becomes
-// one add into the matching column or row. The caller serializes
+// MergePartial folds a cell's Partial into d: every table and row entry
+// becomes one add into the matching column or row. The caller serializes
 // MergePartial calls in task order, which fixes the per-key addition
 // sequence and so the merged bits. Locality and cluster-type sums of
 // zero are skipped, like keys no record touched. A partial whose keys d
@@ -182,23 +200,14 @@ func (d *Dataset) MergePartial(p *Partial) {
 			d.addClusterType(ct, b)
 		}
 	}
-	// Rack pairs: count the keys bound for rows d has not built yet, so
-	// each new row is sized once instead of doubling its way up.
-	rp := &p.rackPair
-	for i := 0; i < rp.Len(); i++ {
-		src := int(rp.Key(i) >> 32)
-		if d.rackRow(src).Cap() == 0 {
-			d.rowNew[src]++
-		}
+	p.seal()
+	rows := &p.rackPair
+	if len(rows.dst) > 0 {
+		d.fitPos(int(slices.Max(rows.dst)) + 1)
 	}
-	for i := 0; i < rp.Len(); i++ {
-		k := rp.Key(i)
-		src := int(k >> 32)
-		if n := d.rowNew[src]; n > 0 {
-			d.rackPair[src].Reserve(int(n))
-			d.rowNew[src] = 0
-		}
-		d.addRackPair(src, int(uint32(k)), *rp.Val(i))
+	for i := range rows.src {
+		src, dst, val := rows.row(i)
+		d.mergeRow(int(src), dst, val)
 	}
 	for i := 0; i < p.clusterPair.Len(); i++ {
 		*d.clusterPair.Slot(p.clusterPair.Key(i)) += *p.clusterPair.Val(i)

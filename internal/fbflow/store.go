@@ -2,10 +2,12 @@ package fbflow
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Long-term storage (the Hive stage of Figure 3): a Dataset's aggregates
@@ -95,10 +97,9 @@ func (d *Dataset) Save(w io.Writer) error {
 			doc.ByCluster[fmt.Sprintf("%d", ct)] = v
 		}
 	}
-	for src := range d.rackPair {
-		row := &d.rackPair[src]
-		for j := 0; j < row.Len(); j++ {
-			doc.RackPair[pairKey(src, int(row.Key(j)))] = *row.Val(j)
+	for src, row := range d.rackPair {
+		for j, dst := range row.dst {
+			doc.RackPair[pairKey(src, int(dst))] = row.val[j]
 		}
 	}
 	for i := 0; i < d.clusterPair.Len(); i++ {
@@ -155,16 +156,34 @@ func Load(r io.Reader) (*Dataset, error) {
 		}
 		d.addClusterType(ct, v)
 	}
+	// Rack pairs land in key order, so a repeated pair is adjacent and
+	// each row's destinations ascend.
+	type rackPairEntry struct {
+		key uint64
+		v   float64
+		s   string
+	}
+	pairs := make([]rackPairEntry, 0, len(doc.RackPair))
 	for k, v := range doc.RackPair {
 		a, b, err := parsePair(k, "rack", maxArchiveRacks, maxArchiveRacks)
 		if err != nil {
 			return nil, err
 		}
-		if d.rackRow(a).Get(uint64(b)) != nil {
-			return nil, repeated("rack pair", k)
-		}
-		d.addRackPair(a, b, v)
+		pairs = append(pairs, rackPairEntry{packPair(int32(a), int32(b)), v, k})
 	}
+	slices.SortFunc(pairs, func(x, y rackPairEntry) int { return cmp.Compare(x.key, y.key) })
+	top := -1
+	for i, e := range pairs {
+		if i > 0 && pairs[i-1].key == e.key {
+			return nil, repeated("rack pair", e.s)
+		}
+		src, dst := unpackPair(e.key)
+		row := d.rackRow(src)
+		row.dst = append(row.dst, int32(dst))
+		row.val = append(row.val, e.v)
+		top = max(top, dst)
+	}
+	d.fitPos(top + 1)
 	for k, v := range doc.ClusterPair {
 		a, b, err := parsePair(k, "cluster", maxArchiveClusters, maxArchiveClusters)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"fbdcnet/internal/openhash"
 )
@@ -12,10 +13,12 @@ import (
 // ships to the aggregator for every (window, shard) cell. The encoding is
 // a direct dump of the columnar layout: dense float64 arrays verbatim,
 // each open-addressing table as a count followed by (key, value) pairs in
-// insertion order. Decoding with Slot in that same order reproduces the
-// table's insertion order exactly, so MergePartial on a decoded Partial
-// performs the identical per-key addition sequence as on the original —
-// the bit-identity contract survives the wire.
+// insertion order. The rack-pair rows travel in the same table form,
+// keyed src<<32 | dst, row after row: each source rack's entries are one
+// run, in the row's first-touch order. Decoding rebuilds the tables in
+// that insertion order and the rows in that row order, so MergePartial on
+// a decoded Partial performs the identical per-key addition sequence as
+// on the original — the bit-identity contract survives the wire.
 //
 // All integers are little-endian; float64s travel as Float64bits, so
 // every sum round-trips bit-exactly.
@@ -48,23 +51,32 @@ func appendTable(buf []byte, t *openhash.Table[float64]) []byte {
 	return buf
 }
 
-// decodeTable fills t (already Reset) from the front of data and returns
-// the remainder.
-func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, error) {
+// tableCount reads a table's entry count from the front of data and
+// checks it against the cap and the bytes left, which bound the one
+// allocation the caller then makes for the entries.
+func tableCount(data []byte, name string) (int, []byte, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("fbflow: partial wire: %s count truncated", name)
+		return 0, nil, fmt.Errorf("fbflow: partial wire: %s count truncated", name)
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
 	if n > maxWireTableEntries {
-		return nil, fmt.Errorf("fbflow: partial wire: %s declares %d entries (cap %d)", name, n, maxWireTableEntries)
+		return 0, nil, fmt.Errorf("fbflow: partial wire: %s declares %d entries (cap %d)", name, n, maxWireTableEntries)
 	}
 	if len(data) < 16*n {
-		return nil, fmt.Errorf("fbflow: partial wire: %s truncated: %d entries need %d bytes, have %d",
+		return 0, nil, fmt.Errorf("fbflow: partial wire: %s truncated: %d entries need %d bytes, have %d",
 			name, n, 16*n, len(data))
 	}
-	// The length check above bounds n by the frame size, so the one
-	// allocation is too.
+	return n, data, nil
+}
+
+// decodeTable fills t (already Reset) from the front of data and returns
+// the remainder.
+func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, error) {
+	n, data, err := tableCount(data, name)
+	if err != nil {
+		return nil, err
+	}
 	t.Reserve(n)
 	for i := 0; i < n; i++ {
 		k := binary.LittleEndian.Uint64(data)
@@ -83,9 +95,96 @@ func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, 
 	return data, nil
 }
 
+// appendRows appends the rack-pair rows in table form: the entry count,
+// then each row's (src<<32 | dst, value) entries, row by row.
+func appendRows(buf []byte, r *rackRows) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.dst)))
+	at := len(buf)
+	buf = slices.Grow(buf, 16*len(r.dst))[:at+16*len(r.dst)]
+	out := buf[at:]
+	for i := range r.src {
+		src, dst, val := r.row(i)
+		key := uint64(uint32(src)) << 32
+		val = val[:len(dst)]
+		for j, d := range dst {
+			binary.LittleEndian.PutUint64(out, key|uint64(uint32(d)))
+			binary.LittleEndian.PutUint64(out[8:], math.Float64bits(val[j]))
+			out = out[16:]
+		}
+	}
+	return buf
+}
+
+// decodeRows fills r (already reset) from the front of data and returns
+// the remainder. Every rack ID is checked against the Load cap before it
+// indexes anything; then a borrowed scratch's presence bits reject a
+// destination repeated within its row and a source rack whose row
+// already closed (which covers a key repeated after its row closed).
+func decodeRows(data []byte, r *rackRows) ([]byte, error) {
+	const name = "rackPair"
+	n, data, err := tableCount(data, name)
+	if err != nil {
+		return nil, err
+	}
+	if cap(r.dst) < n {
+		r.dst, r.val = make([]int32, 0, n), make([]float64, 0, n)
+	}
+	s := getRowScratch()
+	open, start := int32(-1), 0 // the row being decoded and its first entry
+	defer func() {
+		for _, src := range r.src {
+			s.srcSet[src>>6] = 0
+		}
+		if open >= 0 {
+			s.srcSet[open>>6] = 0
+		}
+		for _, d := range r.dst[start:] {
+			s.set[d>>6] = 0
+		}
+		putRowScratch(s)
+	}()
+	for i := 0; i < n; i++ {
+		k := binary.LittleEndian.Uint64(data[16*i:])
+		if k == ^uint64(0) {
+			return nil, fmt.Errorf("fbflow: partial wire: %s entry %d uses the reserved sentinel key", name, i)
+		}
+		src, dst := k>>32, k&0xffffffff
+		if src >= maxArchiveRacks || dst >= maxArchiveRacks {
+			return nil, fmt.Errorf("fbflow: partial wire: %s key (%d,%d) outside %d racks", name, src, dst, maxArchiveRacks)
+		}
+		if int32(src) != open {
+			if open >= 0 {
+				for _, d := range r.dst[start:] {
+					s.set[d>>6] = 0
+				}
+				r.src = append(r.src, open)
+				r.end = append(r.end, int32(len(r.dst)))
+				start = len(r.dst)
+			}
+			if s.srcSet[src>>6]&(1<<(src&63)) != 0 {
+				return nil, fmt.Errorf("fbflow: partial wire: %s source rack %d reopens after its row closed (key %#x)", name, src, k)
+			}
+			s.srcSet[src>>6] |= 1 << (src & 63)
+			open = int32(src)
+		}
+		if s.set[dst>>6]&(1<<(dst&63)) != 0 {
+			return nil, fmt.Errorf("fbflow: partial wire: %s repeats key %#x", name, k)
+		}
+		s.set[dst>>6] |= 1 << (dst & 63)
+		r.dst = append(r.dst, int32(dst))
+		r.val = append(r.val, math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:])))
+	}
+	if open >= 0 {
+		r.src = append(r.src, open)
+		r.end = append(r.end, int32(len(r.dst)))
+	}
+	return data[16*n:], nil
+}
+
 // AppendBinary appends p's wire form to buf and returns the extended
-// slice. The encoder allocates nothing beyond buf growth, so a pooled
-// buffer makes steady-state encoding allocation-free.
+// slice. It closes p's open row first (Add may continue afterwards). The
+// encoder allocates nothing beyond buf growth, so a pooled buffer makes
+// steady-state encoding allocation-free.
 func (p *Partial) AppendBinary(buf []byte) []byte {
 	flags := byte(0)
 	if p.card != nil {
@@ -101,7 +200,8 @@ func (p *Partial) AppendBinary(buf []byte) []byte {
 	for _, b := range p.byClusterType {
 		buf = appendF64(buf, b)
 	}
-	buf = appendTable(buf, &p.rackPair)
+	p.seal()
+	buf = appendRows(buf, &p.rackPair)
 	buf = appendTable(buf, &p.clusterPair)
 	buf = appendTable(buf, &p.perMinute)
 	buf = appendTable(buf, &p.hostOut)
@@ -116,8 +216,17 @@ func (p *Partial) AppendBinary(buf []byte) []byte {
 // DecodeBinary replaces p's contents with the wire form in data (the
 // whole slice must be consumed — trailing garbage errors). The receiver
 // is Reset first, so decoding into a pooled Partial reuses its table
-// capacity and allocates nothing in the steady state.
+// capacity and allocates nothing in the steady state. A rejected frame
+// leaves p empty.
 func (p *Partial) DecodeBinary(data []byte) error {
+	err := p.decode(data)
+	if err != nil {
+		p.Reset()
+	}
+	return err
+}
+
+func (p *Partial) decode(data []byte) error {
 	p.Reset()
 	if len(data) < 2 {
 		return fmt.Errorf("fbflow: partial wire: header truncated")
@@ -148,12 +257,14 @@ func (p *Partial) DecodeBinary(data []byte) error {
 	for ct := range p.byClusterType {
 		p.byClusterType[ct] = f64()
 	}
-	var err error
+	data, err := decodeRows(data, &p.rackPair)
+	if err != nil {
+		return err
+	}
 	for _, tb := range []struct {
 		t    *openhash.Table[float64]
 		name string
 	}{
-		{&p.rackPair, "rackPair"},
 		{&p.clusterPair, "clusterPair"},
 		{&p.perMinute, "perMinute"},
 		{&p.hostOut, "hostOut"},
